@@ -90,14 +90,15 @@ let kernel_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Domain.recommended_domain_count ())
+    & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for cell execution (default: the host's \
-           recommended domain count).  --jobs 1 reproduces the historical \
-           sequential output byte for byte; higher values journal through \
-           per-worker shards that are merged back into the same canonical \
-           bytes.")
+          "Worker domains for cell execution (default 1: on OCaml 5 the \
+           extra domains share stop-the-world minor collections, and the \
+           suite, fuzz and chaos workloads measured well short of 1.5x \
+           wall-clock scaling at 2 domains while paying more CPU).  Higher \
+           values journal through per-worker shards that are merged back \
+           into the same canonical bytes as --jobs 1.")
 
 (* --cache DIR (or MACS_CACHE in the environment) turns on the
    content-addressed result cache for suite/fuzz/chaos; --no-cache wins

@@ -55,4 +55,4 @@ val check_cell :
     and every applicable SLO, first failure wins.  Deterministic: the
     same cell always produces the same outcome, which is what makes
     delta-debugging over plans sound.  [fidelity] selects the stepper
-    tier (default cycle); outcomes are bit-identical across tiers. *)
+    tier (default tiered); outcomes are bit-identical across tiers. *)

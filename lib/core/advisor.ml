@@ -31,8 +31,8 @@ let suggestion ~action ~target ~basis ~baseline ~projected =
     gain = (baseline -. projected) /. baseline;
   }
 
-let vector_advice ?watchdog ~machine (k : Lfk.Kernel.t) =
-  let baseline = Hierarchy.analyze ?watchdog ~machine k in
+let vector_advice ?watchdog ?fidelity ~machine (k : Lfk.Kernel.t) =
+  let baseline = Hierarchy.analyze ?watchdog ?fidelity ~machine k in
   let base_cpf = Hierarchy.t_p_cpf baseline in
   let measured ~action ~target h =
     suggestion ~action ~target ~basis:Measured ~baseline:base_cpf
@@ -45,25 +45,31 @@ let vector_advice ?watchdog ~machine (k : Lfk.Kernel.t) =
           "keep shifted reuse streams in registers instead of reloading \
            (ideal compiler reuse)"
         ~target:Compiler
-        (Hierarchy.analyze ?watchdog ~machine ~opt:Fcc.Opt_level.ideal k);
+        (Hierarchy.analyze ?watchdog ?fidelity ~machine
+           ~opt:Fcc.Opt_level.ideal k);
       measured
         ~action:
           "re-schedule the loop body with a chime-aware list scheduler \
            (packed)"
         ~target:Compiler
-        (Hierarchy.analyze ?watchdog ~machine ~opt:Fcc.Opt_level.packed k);
+        (Hierarchy.analyze ?watchdog ?fidelity ~machine
+           ~opt:Fcc.Opt_level.packed k);
       measured
         ~action:"eliminate tailgate bubbles (perfect pipe hand-off)"
         ~target:Machine_hw
-        (Hierarchy.analyze ?watchdog ~machine:(Machine.no_bubbles machine) k);
+        (Hierarchy.analyze ?watchdog ?fidelity
+           ~machine:(Machine.no_bubbles machine)
+           k);
       measured
         ~action:"hide the memory refresh (static RAM or refresh-free banks)"
         ~target:Machine_hw
-        (Hierarchy.analyze ?watchdog ~machine:(Machine.no_refresh machine) k);
+        (Hierarchy.analyze ?watchdog ?fidelity
+           ~machine:(Machine.no_refresh machine)
+           k);
       measured
         ~action:"add a second load/store pipe"
         ~target:Machine_hw
-        (Hierarchy.analyze ?watchdog
+        (Hierarchy.analyze ?watchdog ?fidelity
            ~machine:(Machine.dual_load_store machine)
            k);
     ]
@@ -100,11 +106,11 @@ let vector_advice ?watchdog ~machine (k : Lfk.Kernel.t) =
   in
   candidates @ spill_projection
 
-let scalar_advice ?watchdog ~machine (k : Lfk.Kernel.t) =
+let scalar_advice ?watchdog ?fidelity ~machine (k : Lfk.Kernel.t) =
   (* the only lever for a carried recurrence is algorithmic *)
   let c = Fcc.Compiler.compile k in
   let m =
-    Convex_vpsim.Measure.run_exn ?watchdog ~machine
+    Convex_vpsim.Measure.run_exn ?watchdog ?fidelity ~machine
       ~flops_per_iteration:c.flops_per_iteration c.job
   in
   let bound = Scalar_bound.of_compiled c in
@@ -121,10 +127,12 @@ let scalar_advice ?watchdog ~machine (k : Lfk.Kernel.t) =
         /. float_of_int (Lfk.Kernel.flops k));
   ]
 
-let advise ?(machine = Machine.c240) ?(threshold = 0.01) ?watchdog k =
+let advise ?(machine = Machine.c240) ?(threshold = 0.01) ?watchdog ?fidelity
+    k =
   let all =
-    if Fcc.Vectorizer.vectorizable k then vector_advice ?watchdog ~machine k
-    else scalar_advice ?watchdog ~machine k
+    if Fcc.Vectorizer.vectorizable k then
+      vector_advice ?watchdog ?fidelity ~machine k
+    else scalar_advice ?watchdog ?fidelity ~machine k
   in
   all
   |> List.filter (fun s -> s.gain > threshold)

@@ -30,6 +30,7 @@ val advise :
   ?machine:Machine.t ->
   ?threshold:float ->
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
+  ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   Lfk.Kernel.t ->
   suggestion list
 (** Suggestions with gain above [threshold] (default 0.01), sorted by
@@ -38,7 +39,9 @@ val advise :
     threaded into every candidate re-measurement (the advisor simulates
     each applicable change); a firing watchdog raises
     {!Macs_util.Macs_error.Error}, which deadline-bounded callers catch
-    and degrade. *)
+    and degrade.  [fidelity] selects the simulator tier of every
+    re-measurement exactly as in {!Hierarchy.analyze} (default tiered);
+    both tiers give identical suggestions. *)
 
 val report : ?machine:Machine.t -> Lfk.Kernel.t -> string
 (** Human-readable ranked advice, one line per suggestion. *)

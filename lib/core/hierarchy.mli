@@ -47,7 +47,8 @@ val analyze :
   t
 (** Compile the kernel, compute every bound, and run the three
     measurements.  [fidelity] selects the simulator tier for the
-    measurements (default cycle); both tiers measure identically.
+    measurements (default tiered; [Cycle] is the explicit oracle tier);
+    both tiers measure identically.
     [watchdog] is threaded into every measurement exactly as in
     {!Convex_vpsim.Sim.run}; a firing watchdog raises
     {!Macs_util.Macs_error.Error} (conventionally [Budget_exceeded]),

@@ -65,7 +65,7 @@ val run :
     round-trip) — the cheap mode test properties use.  [budget] caps
     each simulation through a fresh {!Convex_harness.Budget.watchdog}.
     [fidelity] selects the tier for the ["sim"]/["fault-sim:*"] rungs
-    (default cycle); the ["fidelity-diff"] rungs always run both tiers
+    (default tiered); the ["fidelity-diff"] rungs always run both tiers
     regardless. *)
 
 val fidelity_diff_check :

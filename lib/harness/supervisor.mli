@@ -81,7 +81,7 @@ val run :
     {!Macs_util.Journal.inspect}) starts over instead of failing.
 
     [fidelity] selects the simulator tier exactly as in
-    {!Convex_vpsim.Sim.run} (default cycle).  Rows, journals and cache
+    {!Convex_vpsim.Sim.run} (default tiered).  Rows, journals and cache
     payloads are bit-identical across tiers, so the flag is a pure speed
     knob and is excluded from both the journal config and the cache
     key. *)

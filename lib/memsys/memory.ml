@@ -7,11 +7,13 @@ type t = {
   faults : Fault.t;
   log : (int * int) list ref option;
   bank_free_at : int array;
-  port_used : (int, unit) Hashtbl.t;
-      (* cycles on which our port slot was consumed; a hash table rather
-         than a high-water mark because the simulator schedules
-         instructions in issue order, so queries arrive out of time
-         order *)
+  mutable port_bits : Bytes.t;
+      (* one bit per cycle, set when [try_access] consumed that cycle's
+         port slot; a bitmap rather than a high-water mark because the
+         simulator schedules instructions in issue order, so queries
+         arrive out of time order.  Grown by doubling on a grant past
+         its end, so a run allocates it once or a few times rather than
+         once per granted access *)
   mutable port_hwm : int;
       (* highest cycle whose port slot has ever been consumed (-1 when
          none): an access stream starting strictly above it can never
@@ -24,7 +26,7 @@ type t = {
          mark).  Entries are exact integer-valued floats — the array the
          caller gets back is the array stored here.  Port membership for
          leapt slots is answered by binary search instead of one
-         hash-table entry per element, so a leap's commit cost is
+         bitmap entry per element, so a leap's commit cost is
          independent of its length *)
   mutable nspans : int;
   mutable last_span_dense : bool;
@@ -51,7 +53,7 @@ let create ?(contention = Contention.none) ?(faults = Fault.none) ?log
     faults;
     log;
     bank_free_at = Array.make params.banks 0;
-    port_used = Hashtbl.create 4096;
+    port_bits = Bytes.make 512 '\000';
     port_hwm = -1;
     spans = [||];
     nspans = 0;
@@ -66,7 +68,11 @@ let create ?(contention = Contention.none) ?(faults = Fault.none) ?log
 
 let reset t =
   Array.fill t.bank_free_at 0 (Array.length t.bank_free_at) 0;
-  Hashtbl.reset t.port_used;
+  (* every set bit is at or below the high-water mark *)
+  if t.port_hwm >= 0 then
+    Bytes.fill t.port_bits 0
+      (min (Bytes.length t.port_bits) ((t.port_hwm lsr 3) + 1))
+      '\000';
   t.port_hwm <- -1;
   t.spans <- [||];
   t.nspans <- 0;
@@ -134,11 +140,28 @@ let span_taken t ~cycle =
   done;
   !hit
 
+let bit_taken t ~cycle =
+  let i = cycle lsr 3 in
+  i < Bytes.length t.port_bits
+  && Bytes.get_uint8 t.port_bits i land (1 lsl (cycle land 7)) <> 0
+
+(* only a grant marks a slot, and a grant needs [bank_free_at.(bank) <=
+   cycle] with every busy line starting at 0, so [cycle >= 0] here *)
+let mark_port t ~cycle =
+  let i = cycle lsr 3 in
+  let n = Bytes.length t.port_bits in
+  if i >= n then begin
+    let grown = Bytes.make (max (i + 1) (2 * n)) '\000' in
+    Bytes.blit t.port_bits 0 grown 0 n;
+    t.port_bits <- grown
+  end;
+  Bytes.set_uint8 t.port_bits i
+    (Bytes.get_uint8 t.port_bits i lor (1 lsl (cycle land 7)))
+
 (* every consumed slot is at or below the high-water mark, so probes
    above it skip both membership structures *)
 let port_taken t ~cycle =
-  cycle <= t.port_hwm
-  && (Hashtbl.mem t.port_used cycle || span_taken t ~cycle)
+  cycle <= t.port_hwm && (bit_taken t ~cycle || span_taken t ~cycle)
 
 let try_access t ~cycle ~word =
   if refresh_active t ~cycle then begin
@@ -167,7 +190,7 @@ let try_access t ~cycle ~word =
       t.bank_free_at.(bank) <-
         cycle + t.params.bank_busy_cycles
         + Fault.bank_extra_busy t.faults ~bank ~cycle;
-      Hashtbl.replace t.port_used cycle ();
+      mark_port t ~cycle;
       if cycle > t.port_hwm then t.port_hwm <- cycle;
       t.accesses <- t.accesses + 1;
       (match t.log with
@@ -333,7 +356,7 @@ let admit_stream t ~start ~count ~z ~word0 ~wstride ~max_slip =
       else begin
         (* commit: side effects identical to the spin loop's.  Port
            slots are recorded as one sorted span instead of per-element
-           hash-table entries; the bank lines are the pass's own copy,
+           bitmap entries; the bank lines are the pass's own copy,
            written back wholesale *)
         Array.blit bfree 0 t.bank_free_at 0 nbanks;
         (match t.log with

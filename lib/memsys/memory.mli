@@ -27,7 +27,8 @@ val create :
     spikes. *)
 
 val reset : t -> unit
-(** Clear bank state (contention and parameters are kept). *)
+(** Clear bank state, consumed port slots and counters (contention and
+    parameters are kept). *)
 
 val refresh_active : t -> cycle:int -> bool
 
@@ -38,7 +39,9 @@ val try_access : t -> cycle:int -> word:int -> bool
     progress, the port is not stolen, and the addressed bank is idle; on
     success the bank is busy for the bank cycle time.  At most one access
     per cycle is accepted (single port); a second call for the same cycle
-    returns [false]. *)
+    returns [false], whatever order the calls arrive in.  Granted slots
+    live in a bitmap indexed by cycle, grown on demand.  A negative
+    [cycle] is never granted. *)
 
 val bank_of : t -> word:int -> int
 

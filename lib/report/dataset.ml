@@ -7,10 +7,10 @@ type t = {
 }
 
 let compute ?(machine = Machine.c240) ?contention ?(opt = Fcc.Opt_level.v61)
-    () =
+    ?fidelity () =
   let rows =
     List.map
-      (fun k -> Macs.Hierarchy.analyze ~machine ?contention ~opt k)
+      (fun k -> Macs.Hierarchy.analyze ~machine ?contention ?fidelity ~opt k)
       Lfk.Kernels.all
   in
   { machine; opt; rows }

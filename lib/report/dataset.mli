@@ -13,7 +13,10 @@ type t = {
 
 val compute :
   ?machine:Machine.t -> ?contention:Contention.t -> ?opt:Fcc.Opt_level.t ->
-  unit -> t
+  ?fidelity:Convex_vpsim.Fastpath.fidelity -> unit -> t
+(** [fidelity] selects the simulator tier of every measurement exactly as
+    in {!Macs.Hierarchy.analyze} (default tiered); both tiers give
+    identical rows. *)
 
 val find : t -> int -> Macs.Hierarchy.t
 (** By LFK id; raises [Not_found]. *)

@@ -157,7 +157,8 @@ let advise ?watchdog (it : Protocol.item) k =
          "advise evaluates candidate improvements on the healthy machine; \
           drop \"faults\"")
   else
-    match Macs.Advisor.advise ~machine:it.machine ?watchdog k with
+    match Macs.Advisor.advise ~machine:it.machine ?watchdog
+        ~fidelity:it.fidelity k with
     | suggestions ->
         ok
           (base it

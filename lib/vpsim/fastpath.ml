@@ -115,22 +115,46 @@ let deps_clear ~t0 ~z ~vl deps =
 (* Compute streams never touch the bank model, so under a quiescent plan
    the cycle stepper's recurrence
      [enter.(e) = max (enter.(e-1) + z) (ready e)]
-   is pure float arithmetic over known curves — replay it verbatim
-   (same operations, same order, hence bit-identical) but over flat dep
-   arrays instead of closure chains.  This handles fractional rates and
-   mid-stream-binding producers that the closed form cannot. *)
+   is pure float arithmetic over known curves — replay it with the same
+   additions and the same [Float.max], hence bit-identically, but over
+   flat arrays instead of closure chains.  This handles fractional rates
+   and mid-stream-binding producers that the closed form cannot.
+
+   [ready e] is a max over the dependences, a selection rather than
+   arithmetic, so it is gathered dependence by dependence into
+   [entries] first (each curve read in order, its clamped tail filled
+   in one go) and then folded into the recurrence in a second pass.  A
+   dependence whose whole curve lies at or below [t0] is skipped: every
+   entry is at least [enter.(e-1) + z > t0], so it never wins the max. *)
 let compute_stream ~t0 ~vl ~z deps =
-  let entries = Array.make vl t0 in
-  let deps = Array.of_list deps in
-  let nd = Array.length deps in
+  let entries = Array.make vl 0.0 in
+  List.iter
+    (fun { curve; lift } ->
+      let n = Array.length curve in
+      if curve.(n - 1) +. lift > t0 then begin
+        let last = min (vl - 1) (n - 1) in
+        for e = 1 to last do
+          let v = curve.(e) +. lift in
+          if v > entries.(e) then entries.(e) <- v
+        done;
+        let tail = curve.(n - 1) +. lift in
+        for e = last + 1 to vl - 1 do
+          if tail > entries.(e) then entries.(e) <- tail
+        done
+      end)
+    deps;
+  entries.(0) <- t0;
   for e = 1 to vl - 1 do
-    let ready = ref 0.0 in
-    for d = 0 to nd - 1 do
-      let { curve; lift } = deps.(d) in
-      let v = curve.(min e (Array.length curve - 1)) +. lift in
-      if v > !ready then ready := v
-    done;
-    entries.(e) <- Float.max (entries.(e - 1) +. z) !ready
+    entries.(e) <- Float.max (entries.(e - 1) +. z) entries.(e)
+  done;
+  entries
+
+(* the closed-form schedule [t0 + e * z], written in place rather than
+   through [Array.init], whose closure would box every element *)
+let closed_form ~t0 ~vl ~z =
+  let entries = Array.create_float vl in
+  for e = 0 to vl - 1 do
+    entries.(e) <- t0 +. (float_of_int e *. z)
   done;
   entries
 
@@ -175,7 +199,7 @@ let try_leap ~memory ~mem_params ~faults ~guard ~watchdog_armed ~t0 ~vl ~z
                 exact_cycle t0 && exact_cycle z
                 && deps_clear ~t0 ~z ~vl deps
               then
-                Some (Array.init vl (fun e -> t0 +. (float_of_int e *. z)))
+                Some (closed_form ~t0 ~vl ~z)
               else Some (compute_stream ~t0 ~vl ~z deps)
           | Affine { word0; wstride } ->
               (* memory elements are granted at integer cycles: the spin

@@ -24,11 +24,13 @@ open Convex_memsys
     every fault family.  DESIGN §14 derives the obligations. *)
 
 type fidelity =
-  | Cycle  (** step every element through the bank model (the baseline) *)
+  | Cycle
+      (** step every element through the bank model: the explicit oracle
+          tier the default is checked against *)
   | Tiered
       (** leap analytic regions in closed form, cycle-step the seams —
           bit-identical to [Cycle], several times faster on healthy
-          streams *)
+          streams; the library and CLI default *)
 
 val all : fidelity list
 val to_string : fidelity -> string

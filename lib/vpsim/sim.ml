@@ -59,6 +59,10 @@ type unit_state = { mutable used : bool; mutable next_accept : float }
 let scalar_load_latency = 4.0
 let scalar_fp_latency = 3.0
 
+(* a store in flight: words [lo..hi] complete at [done_at]; [upto] is
+   the latest [done_at] among it and every older store still tracked *)
+type store = { lo : int; hi : int; done_at : float; upto : float }
+
 let result_at w e =
   let n = Array.length w.enter in
   w.enter.(min e (n - 1)) +. w.y
@@ -78,7 +82,7 @@ let watchdog_spin_mask = Fastpath.spin_check_interval - 1
 
 let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
     ?(faults = Fault.none) ?(guard = default_guard) ?watchdog ?access_log
-    ?(trace = false) ?(fidelity = Fastpath.Cycle) (job : Job.t) =
+    ?(trace = false) ?(fidelity = Fastpath.Tiered) (job : Job.t) =
   let layout =
     match layout with
     | Some l -> l
@@ -96,11 +100,6 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
   let units =
     Array.init n_units (fun _ -> { used = false; next_accept = 0.0 })
   in
-  let unit_ids = function
-    | Pipe.Load_store -> List.init lsu_n Fun.id
-    | Pipe.Add_unit -> List.init add_n (fun i -> lsu_n + i)
-    | Pipe.Multiply_unit -> List.init mul_n (fun i -> lsu_n + add_n + i)
-  in
   let unit_last_start = Array.make n_units 0.0 in
   let pipe_busy = Array.make Pipe.count 0.0 in
   let vwriter : inflight option array = Array.make Reg.vector_count None in
@@ -110,19 +109,47 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
   let issue_front = ref 0.0 in
   let finish = ref 0.0 in
   let active : inflight list ref = ref [] in
-  (* outstanding stores as (lo_word, hi_word, completion): a later load
-     overlapping the range must wait — memory RAW dependences, which
-     serialize LFK2's ICCG passes and LFK6's recurrence *)
-  let stores : (int * int * float) list ref = ref [] in
-  let store_dep ~lo ~hi =
-    List.fold_left
-      (fun acc (l, h, c) -> if h >= lo && l <= hi then Float.max acc c else acc)
-      0.0 !stores
+  (* outstanding stores, newest first: a later load overlapping a
+     store's range must wait for its completion — memory RAW
+     dependences, which serialize LFK2's ICCG passes and LFK6's
+     recurrence *)
+  let stores : store list ref = ref [] in
+  (* [max floor (completion of every store overlapping lo..hi)].  Each
+     entry carries the latest completion among itself and every older
+     entry, so the walk stops at the first entry that cannot beat the
+     running maximum — usually within the few newest stores, where a
+     full scan would visit up to 65 *)
+  let store_dep ~floor ~lo ~hi =
+    let acc = ref floor in
+    let rest = ref !stores in
+    while
+      match !rest with
+      | s :: tl when s.upto > !acc ->
+          if s.hi >= lo && s.lo <= hi then acc := Float.max !acc s.done_at;
+          rest := tl;
+          true
+      | _ -> false
+    do
+      ()
+    done;
+    !acc
+  in
+  let push ~lo ~hi ~done_at older =
+    let upto =
+      match older with [] -> done_at | s :: _ -> Float.max done_at s.upto
+    in
+    { lo; hi; done_at; upto } :: older
   in
   let note_store ~lo ~hi ~completion ~now =
     if List.length !stores > 64 then
-      stores := List.filter (fun (_, _, c) -> c > now) !stores;
-    stores := (lo, hi, completion) :: !stores
+      stores :=
+        List.fold_right
+          (fun s older ->
+            if s.done_at > now then
+              push ~lo:s.lo ~hi:s.hi ~done_at:s.done_at older
+            else older)
+          !stores [];
+    stores := push ~lo ~hi ~done_at:completion !stores
   in
   let events = ref [] in
   let instructions = ref 0 in
@@ -180,7 +207,7 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
       match i with
       | Instr.Sld { dst; src } ->
           let word = word_for seg src ~base_index ~element:0 in
-          let t0 = Float.max t0 (store_dep ~lo:word ~hi:word) in
+          let t0 = store_dep ~floor:t0 ~lo:word ~hi:word in
           let t_acc = acquire_mem ~earliest:t0 ~word in
           sready.(Reg.s_index dst) <- t_acc +. scalar_load_latency;
           issue_front := t_acc +. float_of_int machine.scalar_memory_cycles;
@@ -214,15 +241,20 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
     let cls = Option.get (Instr.vclass_of i) in
     let pipe = Pipe.of_vclass cls in
     let p = Timing.get machine.timing cls in
-    (* choose the least-busy unit instance of the pipe *)
-    let u =
-      List.fold_left
-        (fun best id ->
-          if units.(id).next_accept < units.(best).next_accept then id
-          else best)
-        (List.hd (unit_ids pipe))
-        (unit_ids pipe)
+    (* choose the least-busy unit instance of the pipe: instances are
+       numbered load/store first, then add, then multiply, so a pipe's
+       instances are the range [first, first + count) *)
+    let first, count =
+      match pipe with
+      | Pipe.Load_store -> (0, lsu_n)
+      | Pipe.Add_unit -> (lsu_n, add_n)
+      | Pipe.Multiply_unit -> (lsu_n + add_n, mul_n)
     in
+    let u = ref first in
+    for id = first + 1 to first + count - 1 do
+      if units.(id).next_accept < units.(!u).next_accept then u := id
+    done;
+    let u = !u in
     (* in-order issue with bounded run-ahead: issue of this instruction
        cannot begin before the previous instruction on the same unit has
        started *)
@@ -285,30 +317,37 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
       if units.(u).used then units.(u).next_accept +. float_of_int p.b
       else 0.0
     in
-    let mem = Instr.mem_ref i in
-    let is_vmem = Instr.is_vector_memory i in
+    let vmem = if Instr.is_vector_memory i then Instr.mem_ref i else None in
+    let indexed =
+      match i with Instr.Vgather _ | Instr.Vscatter _ -> true | _ -> false
+    in
+    (* the operand's array base and segment shift are per-instruction
+       invariants: resolve them once here, so placing an element below is
+       arithmetic only — element [e] of an affine stream sits at
+       [word0 + e * wstride] *)
+    let abase, word0, wstride =
+      match vmem with
+      | Some m when indexed -> (Layout.base_of layout m.array, 0, 0)
+      | Some m -> (0, word_for seg m ~base_index ~element:0, m.stride)
+      | None -> (0, 0, 0)
+    in
     let mem_range =
-      match (is_vmem, mem) with
-      | true, Some m -> (
-          match i with
-          | Instr.Vgather _ | Instr.Vscatter _ ->
-              (* data-dependent addresses: conservatively cover the array *)
-              let b = Layout.base_of layout m.array in
-              Some (b, b + 0xFFFF)
-          | _ ->
-              let w0 = word_for seg m ~base_index ~element:0 in
-              let w1 = word_for seg m ~base_index ~element:(vl - 1) in
-              Some (min w0 w1, max w0 w1))
-      | _ -> None
+      match vmem with
+      | Some _ when indexed ->
+          (* data-dependent addresses: conservatively cover the array *)
+          Some (abase, abase + 0xFFFF)
+      | Some _ ->
+          let w1 = word0 + ((vl - 1) * wstride) in
+          Some (min word0 w1, max word0 w1)
+      | None -> None
     in
-    let raw_dep =
-      match (i, mem_range) with
-      | (Instr.Vld _ | Instr.Vgather _), Some (lo, hi) -> store_dep ~lo ~hi
-      | _ -> 0.0
-    in
+    let t0 = Float.max arrive (Float.max pipe_c (Float.max (ready 0) sdep)) in
+    (* a load also waits for every in-flight store it overlaps *)
     let t0 =
-      Float.max raw_dep
-        (Float.max arrive (Float.max pipe_c (Float.max (ready 0) sdep)))
+      match (i, mem_range) with
+      | (Instr.Vld _ | Instr.Vgather _), Some (lo, hi) ->
+          store_dep ~floor:t0 ~lo ~hi
+      | _ -> t0
     in
     (* Register-pair port limits: at most [pair_read_limit] reads and
        [pair_write_limit] writes per pair among chime-concurrent
@@ -401,26 +440,15 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
        the cycle loop below would have produced exactly the closed-form
        schedule (see DESIGN §14); any failed obligation falls back to
        stepping the seam cycle by cycle *)
-    let indexed =
-      match i with Instr.Vgather _ | Instr.Vscatter _ -> true | _ -> false
-    in
     let leap =
       match fidelity with
       | Fastpath.Cycle -> None
       | Fastpath.Tiered ->
           let stream =
-            match (is_vmem, mem) with
-            | true, Some m ->
-                if indexed then Fastpath.Opaque
-                else
-                  let word0 = word_for seg m ~base_index ~element:0 in
-                  Fastpath.Affine
-                    {
-                      word0;
-                      wstride =
-                        word_for seg m ~base_index ~element:1 - word0;
-                    }
-            | _ -> Fastpath.Compute
+            match vmem with
+            | Some _ when indexed -> Fastpath.Opaque
+            | Some _ -> Fastpath.Affine { word0; wstride }
+            | None -> Fastpath.Compute
           in
           let deps =
             List.map
@@ -440,8 +468,8 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
       | None ->
           let enter = Array.make vl t0 in
           let place e earliest =
-            match (is_vmem, mem) with
-            | true, Some m ->
+            match vmem with
+            | Some m ->
                 let word =
                   if indexed then
                     (* the timing model carries no register values: indexed
@@ -454,11 +482,11 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
                     let h = h lxor (h lsr 15) in
                     let h = h * 0x85EBCA77 land 0x3FFFFFFF in
                     let h = h lxor (h lsr 13) in
-                    Layout.base_of layout m.array + (h land 0xFFFF)
-                  else word_for seg m ~base_index ~element:e
+                    abase + (h land 0xFFFF)
+                  else word0 + (e * wstride)
                 in
                 acquire_mem ~earliest ~word
-            | _ -> earliest
+            | None -> earliest
           in
           enter.(0) <- place 0 t0;
           for e = 1 to vl - 1 do

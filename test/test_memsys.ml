@@ -174,6 +174,115 @@ let test_out_of_order_port () =
   Alcotest.(check bool) "t=10 again" false
     (Memory.try_access m ~cycle:10 ~word:64)
 
+(* ---- the port-slot bitmap ----
+
+   Granted slots live in a bitmap indexed by cycle that grows on demand;
+   leapt slots live in [admit_stream]'s spans.  A port probe must see
+   both, in any arrival order, across growth, and nothing after a reset.
+   Every probe below targets a distinct idle bank, so a refusal can only
+   be the port. *)
+
+let port_refused m ~cycle ~word =
+  let before = Memory.stats_port_stalls m in
+  let granted = Memory.try_access m ~cycle ~word in
+  (not granted) && Memory.stats_port_stalls m = before + 1
+
+let test_port_out_of_order () =
+  let m = Memory.create no_refresh_params in
+  Alcotest.(check bool) "t=40" true (Memory.try_access m ~cycle:40 ~word:0);
+  (* below the high-water mark: free slots grant, taken slots refuse *)
+  Alcotest.(check bool) "t=12 below mark" true
+    (Memory.try_access m ~cycle:12 ~word:1);
+  Alcotest.(check bool) "t=3 below mark" true
+    (Memory.try_access m ~cycle:3 ~word:2);
+  Alcotest.(check bool) "t=12 again refused" true
+    (port_refused m ~cycle:12 ~word:3);
+  Alcotest.(check bool) "t=40 again refused" true
+    (port_refused m ~cycle:40 ~word:4);
+  (* above the mark nothing is taken yet *)
+  Alcotest.(check bool) "t=41 above mark" true
+    (Memory.try_access m ~cycle:41 ~word:5);
+  Alcotest.(check bool) "t=4 between grants" true
+    (Memory.try_access m ~cycle:4 ~word:6);
+  Alcotest.(check int) "two port stalls" 2 (Memory.stats_port_stalls m);
+  Alcotest.(check int) "five grants" 5 (Memory.stats_accesses m)
+
+let test_port_growth () =
+  (* 5 and 7 share the first byte of the bitmap; 1_000_000 forces it to
+     grow far past its initial size between them *)
+  let m = Memory.create no_refresh_params in
+  Alcotest.(check bool) "t=5" true (Memory.try_access m ~cycle:5 ~word:0);
+  Alcotest.(check bool) "t=1_000_000" true
+    (Memory.try_access m ~cycle:1_000_000 ~word:1);
+  Alcotest.(check bool) "t=7" true (Memory.try_access m ~cycle:7 ~word:2);
+  List.iteri
+    (fun i cycle ->
+      Alcotest.(check bool)
+        (Printf.sprintf "t=%d kept across growth" cycle)
+        true
+        (port_refused m ~cycle ~word:(3 + i)))
+    [ 5; 7; 1_000_000 ];
+  List.iteri
+    (fun i cycle ->
+      Alcotest.(check bool)
+        (Printf.sprintf "t=%d still free" cycle)
+        true
+        (Memory.try_access m ~cycle ~word:(8 + i)))
+    [ 6; 4095; 4096; 999_999; 1_000_001 ];
+  Alcotest.(check bool) "negative cycle never granted" false
+    (Memory.try_access m ~cycle:(-1) ~word:20)
+
+let test_port_reset_clears () =
+  let m = Memory.create no_refresh_params in
+  let cycles = [ 0; 7; 8; 63; 64; 4095; 70_000 ] in
+  List.iteri
+    (fun i cycle -> assert (Memory.try_access m ~cycle ~word:i))
+    cycles;
+  ignore
+    (Memory.admit_stream m ~start:70_001 ~count:4 ~z:1 ~word0:10 ~wstride:1
+       ~max_slip:64);
+  Memory.reset m;
+  (* raise the high-water mark past every old slot first, so the probes
+     below consult the bitmap instead of skipping it *)
+  Alcotest.(check bool) "t=70_010" true
+    (Memory.try_access m ~cycle:70_010 ~word:31);
+  List.iteri
+    (fun i cycle ->
+      Alcotest.(check bool)
+        (Printf.sprintf "t=%d free after reset" cycle)
+        true
+        (Memory.try_access m ~cycle ~word:i))
+    (cycles @ [ 70_001; 70_004 ]);
+  Alcotest.(check int) "no port stalls" 0 (Memory.stats_port_stalls m)
+
+let test_port_bits_and_spans () =
+  (* slots granted one by one and slots committed by a leap answer the
+     same probe: a stream leapt over 20..27 above cycle-stepped grants at
+     2 and 9, then probes of both kinds, below the mark *)
+  let m = Memory.create no_refresh_params in
+  assert (Memory.try_access m ~cycle:2 ~word:0);
+  assert (Memory.try_access m ~cycle:9 ~word:1);
+  (match
+     Memory.admit_stream m ~start:20 ~count:8 ~z:1 ~word0:2 ~wstride:1
+       ~max_slip:64
+   with
+  | Some cycles ->
+      Alcotest.(check (array (float 0.0))) "leapt slots"
+        (Array.init 8 (fun e -> float_of_int (20 + e)))
+        cycles
+  | None -> Alcotest.fail "a clean unit-stride stream must be admitted");
+  Alcotest.(check bool) "bitmap slot 2" true (port_refused m ~cycle:2 ~word:12);
+  Alcotest.(check bool) "bitmap slot 9" true (port_refused m ~cycle:9 ~word:13);
+  Alcotest.(check bool) "span slot 20" true (port_refused m ~cycle:20 ~word:14);
+  Alcotest.(check bool) "span slot 27" true (port_refused m ~cycle:27 ~word:15);
+  Alcotest.(check bool) "gap slot 15" true
+    (Memory.try_access m ~cycle:15 ~word:16);
+  Alcotest.(check bool) "past the span" true
+    (Memory.try_access m ~cycle:28 ~word:17);
+  (* a later grant below the span lands in the bitmap and is seen too *)
+  Alcotest.(check bool) "bitmap slot 15 now" true
+    (port_refused m ~cycle:15 ~word:18)
+
 (* ---- admit_stream at strip-mine remainder edges ----
 
    The tiered fast path admits a whole access stream in closed form; its
@@ -398,6 +507,14 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "out-of-order port" `Quick
             test_out_of_order_port;
+        ] );
+      ( "port bitmap",
+        [
+          Alcotest.test_case "out of time order" `Quick
+            test_port_out_of_order;
+          Alcotest.test_case "growth boundary" `Quick test_port_growth;
+          Alcotest.test_case "reset clears" `Quick test_port_reset_clears;
+          Alcotest.test_case "bits and spans" `Quick test_port_bits_and_spans;
         ] );
       ( "admit_stream",
         [

@@ -69,6 +69,58 @@ let test_dataset () =
     && Array.for_all2 ( >= ) macs mac
     && Array.for_all2 (fun a b -> a +. 0.01 >= b) p macs)
 
+(* ---- The tiered library default ----
+
+   [Sim.run] defaults to the tiered fast path; [Cycle] is the explicit
+   oracle tier.  Every library caller that leaves the tier out (Dataset,
+   and through it every table and figure; the Advisor) must measure
+   exactly what cycle stepping measures — on the stock machine, on a
+   bank-conflict-heavy spec where the fast path falls back often, and on
+   a non-default refresh geometry. *)
+
+let default_pin_machines =
+  ("c240", Convex_machine.Machine.c240)
+  :: List.map
+       (fun spec ->
+         match Convex_dsl.Machine_dsl.parse spec with
+         | Ok m -> (spec, m)
+         | Error e ->
+             Alcotest.failf "%s: %s" spec (Macs_util.Macs_error.to_string e))
+       [ "c240;banks=8;busy=12"; "c240;refresh=16/200" ]
+
+let test_default_is_cycle_exact () =
+  List.iter
+    (fun (spec, machine) ->
+      let d = Macs_report.Dataset.compute ~machine () in
+      List.iter
+        (fun (row : Macs.Hierarchy.t) ->
+          let oracle =
+            Macs.Hierarchy.analyze ~machine ~opt:d.opt
+              ~fidelity:Convex_vpsim.Fastpath.Cycle row.kernel
+          in
+          List.iter
+            (fun (what, (a : Convex_vpsim.Measure.t), b) ->
+              let msg = Printf.sprintf "%s %s %s" spec row.kernel.name what in
+              Alcotest.(check bool) (msg ^ " stats") true
+                (a.stats = b.Convex_vpsim.Measure.stats);
+              Alcotest.(check bool) (msg ^ " measure") true (a = b))
+            [
+              ("t_p", row.t_p, oracle.t_p);
+              ("t_a", row.t_a, oracle.t_a);
+              ("t_x", row.t_x, oracle.t_x);
+            ])
+        d.rows;
+      List.iter
+        (fun k ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s advice" spec k.Lfk.Kernel.name)
+            true
+            (Macs.Advisor.advise ~machine k
+            = Macs.Advisor.advise ~machine
+                ~fidelity:Convex_vpsim.Fastpath.Cycle k))
+        (Lfk.Kernels.all @ Lfk.Kernels.scalar_kernels))
+    default_pin_machines
+
 (* ---- Table renderers ---- *)
 
 let test_table1_contains_spec () =
@@ -201,6 +253,8 @@ let () =
           Alcotest.test_case "compute" `Quick test_dataset;
           Alcotest.test_case "deterministic" `Quick
             test_dataset_deterministic;
+          Alcotest.test_case "tiered default is cycle-exact" `Quick
+            test_default_is_cycle_exact;
         ] );
       ( "tables",
         [

@@ -240,6 +240,29 @@ let test_server_simulate () =
   Alcotest.(check bool) "cpl present" true
     (get [ "cpl" ] (first_result j) <> None)
 
+let test_server_advise_fidelity () =
+  (* advise honours the item's tier; both tiers must answer alike, for a
+     vectorizable kernel (hierarchy re-measurements) and a scalar one
+     (one direct measurement) *)
+  let s = create_ok Server.default_config in
+  List.iter
+    (fun kernel ->
+      let reply fidelity =
+        Server.handle_line s
+          (Printf.sprintf
+             {|{"id":"adv","op":"advise","kernel":%d,"machine":"c240;banks=8;busy=12","fidelity":"%s"}|}
+             kernel fidelity)
+      in
+      let cycle = reply "cycle" and tiered = reply "tiered" in
+      Alcotest.(check (option string))
+        (Printf.sprintf "lfk%d full tier" kernel)
+        (Some "full")
+        (get_str [ "tier" ] (first_result (parse_ok cycle)));
+      Alcotest.(check string)
+        (Printf.sprintf "lfk%d cycle == tiered" kernel)
+        cycle tiered)
+    [ 7; 5 ]
+
 let test_server_budget_degrades () =
   let s = create_ok Server.default_config in
   let j =
@@ -753,6 +776,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "simulate" `Quick test_server_simulate;
+          Alcotest.test_case "advise fidelity" `Quick
+            test_server_advise_fidelity;
           Alcotest.test_case "budget degrades" `Quick
             test_server_budget_degrades;
           Alcotest.test_case "typed errors" `Quick test_server_typed_errors;
