@@ -15,7 +15,7 @@
 module Journal = Macs_util.Journal
 module Sink = Macs_util.Sink
 
-let format_version = 1
+let format_version = 2
 let entry_tag = "macs-cache-entry"
 let log_format = "macs-cache-log"
 

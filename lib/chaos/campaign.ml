@@ -6,6 +6,7 @@ module Budget = Convex_harness.Budget
 module Suite = Macs_report.Suite
 module Exec = Convex_exec.Executor
 module Cache = Convex_cache.Cache
+module Durable = Convex_exec.Durable
 
 (* ---- configuration ---- *)
 
@@ -164,36 +165,17 @@ let run_cell cfg (cell : cell) =
 let format = "macs-chaos-campaign"
 let ( let* ) = Result.bind
 
-let str_field r k = Journal.field_err r k
-
-let int_field r k =
-  let* s = Journal.field_err r k in
-  match Journal.get_int s with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "field %S: bad int %S" k s)
-
-let config_record cfg =
-  {
-    Journal.tag = "config";
-    fields =
-      [
-        ("seed", Journal.put_int cfg.seed);
-        ("cells", Journal.put_int cfg.cells);
-        ("machine", cfg.machine_name);
-        ("opt", Fcc.Opt_level.name cfg.opt);
-        ("guard", Journal.put_int cfg.guard);
-        ("budget", Budget.to_string cfg.budget);
-        ("shrink", Journal.put_int cfg.max_shrink_steps);
-      ];
-  }
-
-(* Resuming under a different configuration would splice incompatible
-   cells into one log; refuse rather than guess. *)
-let config_matches cfg r =
-  let want =
-    List.filter (fun (k, _) -> k <> "budget") (config_record cfg).Journal.fields
-  in
-  List.for_all (fun (k, v) -> Journal.field r k = Some v) want
+(* the journal config fields after the machine digest; the budget is
+   deliberately absent, so a resumed run may use a different safety
+   net *)
+let config_fields cfg =
+  [
+    ("seed", Journal.put_int cfg.seed);
+    ("cells", Journal.put_int cfg.cells);
+    ("opt", Fcc.Opt_level.name cfg.opt);
+    ("guard", Journal.put_int cfg.guard);
+    ("shrink", Journal.put_int cfg.max_shrink_steps);
+  ]
 
 (* everything about a result that is not the cell's identity — shared
    between the journal codec and the cache payload, which stores only
@@ -226,17 +208,17 @@ let verdict_fields (r : cell_result) =
   verdict @ cpl @ min
 
 let verdict_of_record ~cell r : (cell_result, string) result =
-  let* verdict_tag = str_field r "verdict" in
+  let* verdict_tag = Journal.field_err r "verdict" in
   let* verdict =
     match verdict_tag with
     | "pass" -> Ok Pass
     | "degraded" ->
-        let* kind = str_field r "kind" in
-        let* detail = str_field r "detail" in
+        let* kind = Journal.field_err r "kind" in
+        let* detail = Journal.field_err r "detail" in
         Ok (Degraded { kind; detail })
     | "violation" ->
-        let* check = str_field r "check" in
-        let* detail = str_field r "detail" in
+        let* check = Journal.field_err r "check" in
+        let* detail = Journal.field_err r "detail" in
         Ok (Violation { check; detail })
     | v -> Error (Printf.sprintf "unknown verdict %S" v)
   in
@@ -266,162 +248,111 @@ let record_of_result (r : cell_result) =
   in
   { Journal.tag = "cell"; fields = base @ verdict_fields r }
 
-let result_of_record cfg r : (cell_result, string) result =
+(* [index] is the cell the record closes, already checked against the
+   campaign by the runner *)
+let result_of_record cfg index r : (cell_result, string) result =
   if r.Journal.tag <> "cell" then
     Error (Printf.sprintf "expected cell record, got %S" r.Journal.tag)
   else
-    let* index = int_field r "index" in
-    if index < 0 || index >= cfg.cells then
-      Error (Printf.sprintf "cell index %d outside campaign [0, %d)" index cfg.cells)
-    else
-      let cell = cell_of_index cfg index in
-      let* lfk = int_field r "lfk" in
-      let* plan_spec = str_field r "plan" in
-      if lfk <> cell.kernel.Lfk.Kernel.id then
-        Error
-          (Printf.sprintf "cell %d: journal ran LFK%d, campaign generates LFK%d"
-             index lfk cell.kernel.Lfk.Kernel.id)
-      else if plan_spec <> Fault.to_spec cell.plan then
-        Error
-          (Printf.sprintf
-             "cell %d: journal plan %S differs from the generated %S" index
-             plan_spec (Fault.to_spec cell.plan))
-      else verdict_of_record ~cell r
-
-(* ---- result cache ---- *)
-
-let machine_fingerprint m =
-  Digest.to_hex (Digest.string (Format.asprintf "%a" Machine.pp m))
-
-(* no seed, no index: any campaign evaluating the same (kernel, plan)
-   under the same conditions shares the entry *)
-let cell_key cfg (cell : cell) =
-  Cache.key ~kind:"chaos-cell"
-    [
-      ("machine", cfg.machine_name);
-      ("machine-fp", machine_fingerprint cfg.machine);
-      ("opt", Fcc.Opt_level.name cfg.opt);
-      ("guard", Journal.put_int cfg.guard);
-      ("budget", Budget.to_string cfg.budget);
-      ("shrink", Journal.put_int cfg.max_shrink_steps);
-      ("kernel",
-       Digest.to_hex (Digest.string (Marshal.to_string cell.kernel [])));
-      ("plan", Fault.to_spec cell.plan);
-    ]
-
-let payload_of_result r =
-  Journal.encode { Journal.tag = "chaos-verdict"; fields = verdict_fields r }
-
-let result_of_payload ~cell s =
-  let* r = Journal.decode s in
-  if r.Journal.tag <> "chaos-verdict" then
-    Error (Printf.sprintf "expected chaos-verdict record, got %S" r.Journal.tag)
-  else verdict_of_record ~cell r
-
-(* ---- the campaign loop ---- *)
-
-(* Resume: merge any shards a killed parallel run left behind back into
-   the main journal, then replay each cell block — a [cell] record is a
-   completed result, a [poison] record a quarantined cell. *)
-let load_completed cfg path =
-  let config_ok r =
-    if r.Journal.tag <> "config" then
+    let cell = cell_of_index cfg index in
+    let* lfk = Journal.int_field r "lfk" in
+    let* plan_spec = Journal.field_err r "plan" in
+    if lfk <> cell.kernel.Lfk.Kernel.id then
       Error
-        (Printf.sprintf "expected config record, got %S" r.Journal.tag)
-    else if not (config_matches cfg r) then
+        (Printf.sprintf "cell %d: journal ran LFK%d, campaign generates LFK%d"
+           index lfk cell.kernel.Lfk.Kernel.id)
+    else if plan_spec <> Fault.to_spec cell.plan then
       Error
-        "journal was written by a different campaign configuration \
-         (seed/cells/machine/opt/guard mismatch)"
-    else Ok ()
-  in
-  let index_of r =
-    match r.Journal.tag with
-    | "cell" | "poison" ->
-        Option.bind (Journal.field r "index") Journal.get_int
-    | _ -> None
-  in
-  let had_shards = Journal.shards ~path <> [] in
-  let* orig, groups = Journal.merge_shards ~path ~format ~config_ok ~index_of in
-  let tbl = Hashtbl.create 64 in
-  let* () =
-    List.fold_left
-      (fun acc (i, records) ->
-        let* () = acc in
-        match records with
-        | [ ({ Journal.tag = "poison"; _ } as r) ] ->
-            let* p = Exec.poison_of_record r in
-            if p.Exec.index < 0 || p.Exec.index >= cfg.cells then
-              Error
-                (Printf.sprintf "poison index %d outside campaign [0, %d)"
-                   p.Exec.index cfg.cells)
-            else begin
-              Hashtbl.replace tbl i (Exec.Poisoned p);
-              Ok ()
-            end
-        | [ r ] ->
-            let* result = result_of_record cfg r in
-            Hashtbl.replace tbl i (Exec.Done result);
-            Ok ()
-        | rs ->
-            Error
-              (Printf.sprintf "cell %d: expected one journal record, got %d"
-                 i (List.length rs)))
-      (Ok ()) groups
-  in
-  Ok (orig, tbl, had_shards)
+        (Printf.sprintf
+           "cell %d: journal plan %S differs from the generated %S" index
+           plan_spec (Fault.to_spec cell.plan))
+    else verdict_of_record ~cell r
+
+(* ---- the durable run ---- *)
+
+let spec cfg =
+  {
+    Durable.kind = "chaos-cell";
+    machine = cfg.machine;
+    cells = cfg.cells;
+    (* no seed, no index: any campaign evaluating the same (kernel, plan)
+       under the same conditions shares the entry *)
+    key =
+      (fun i ->
+        let cell = cell_of_index cfg i in
+        [
+          ("opt", Fcc.Opt_level.name cfg.opt);
+          ("guard", Journal.put_int cfg.guard);
+          ("budget", Budget.to_string cfg.budget);
+          ("shrink", Journal.put_int cfg.max_shrink_steps);
+          ("kernel", Durable.value_digest cell.kernel);
+          ("plan", Fault.to_spec cell.plan);
+        ]);
+    (* the payload holds only the verdict: identity is pinned by the key
+       and rebuilt from [cell_of_index] *)
+    payload =
+      {
+        Durable.encode =
+          (fun r ->
+            [ { Journal.tag = "chaos-verdict"; fields = verdict_fields r } ]);
+        decode =
+          (fun i -> function
+            | [ ({ Journal.tag = "chaos-verdict"; _ } as r) ] ->
+                verdict_of_record ~cell:(cell_of_index cfg i) r
+            | _ -> Error "expected one chaos-verdict record");
+      };
+    compute = (fun i -> run_cell cfg (cell_of_index cfg i));
+    context =
+      (fun i ->
+        let c = cell_of_index cfg i in
+        Printf.sprintf "%s under %s" c.kernel.Lfk.Kernel.name
+          (Fault.to_spec c.plan));
+    label =
+      Printf.sprintf "chaos seed=%d cells=%d jobs=%d" cfg.seed cfg.cells
+        cfg.jobs;
+  }
+
+let cell_key cfg i = Durable.key (spec cfg) i
 
 let run ?(progress = fun _ -> ()) cfg =
-  let* orig_config, completed, had_shards =
-    match cfg.journal with
-    (* a [Fresh] journal — missing, empty, or an interrupted create —
-       holds no cells, so resuming into it just starts over *)
-    | Some path when cfg.resume && not (Journal.is_fresh ~path ~format) ->
-        load_completed cfg path
-    | Some path ->
-        Journal.create ~path ~format [ config_record cfg ];
-        Ok (config_record cfg, Hashtbl.create 0, false)
-    | None -> Ok (config_record cfg, Hashtbl.create 0, false)
-  in
-  let journal_spec =
+  let journal =
     Option.map
       (fun path ->
         {
-          Exec.path;
+          Durable.path;
           format;
-          config = orig_config;
-          records_of = (fun _ r -> [ record_of_result r ]);
+          resume = cfg.resume;
+          config = config_fields cfg;
+          records =
+            {
+              Durable.encode = (fun r -> [ record_of_result r ]);
+              decode =
+                (fun i -> function
+                  | [ r ] -> result_of_record cfg i r
+                  | rs ->
+                      Error
+                        (Printf.sprintf
+                           "cell %d: expected one journal record, got %d" i
+                           (List.length rs)));
+            };
+          closes =
+            (fun r ->
+              if r.Journal.tag = "cell" then
+                Option.bind (Journal.field r "index") Journal.get_int
+              else None);
         })
       cfg.journal
   in
-  let cache = Option.map Cache.open_dir cfg.cache in
-  let run_one i =
+  (* harness-level fault injection fires before the cache, so a warm
+     cell is killed exactly like a cold one *)
+  let around i cell =
     if List.mem i cfg.kill_cells then
-      raise
-        (Exec.Worker_killed (Printf.sprintf "injected kill at cell %d" i));
-    let cell = cell_of_index cfg i in
-    match cache with
-    | None -> run_cell cfg cell
-    | Some c -> (
-        let key = cell_key cfg cell in
-        let hit =
-          Option.bind (Cache.find c ~key) (fun payload ->
-              Result.to_option (result_of_payload ~cell payload))
-        in
-        match hit with
-        | Some r -> r
-        | None ->
-            let r = run_cell cfg cell in
-            Cache.store c ~key (payload_of_result r);
-            r)
+      raise (Exec.Worker_killed (Printf.sprintf "injected kill at cell %d" i));
+    cell i
   in
-  let outcomes, stats =
-    Exec.run ~jobs:cfg.jobs ?journal:journal_spec ~rewrite:had_shards
-      ~already:(Hashtbl.find_opt completed)
-      ~context:(fun i ->
-        let c = cell_of_index cfg i in
-        Printf.sprintf "%s under %s" c.kernel.Lfk.Kernel.name
-          (Fault.to_spec c.plan))
-      ~progress ~cells:cfg.cells run_one
+  let* r =
+    Durable.run ~jobs:cfg.jobs ~progress ~around ?journal ?cache:cfg.cache
+      (spec cfg)
   in
   let results = ref [] and quarantined = ref [] in
   Array.iter
@@ -429,22 +360,15 @@ let run ?(progress = fun _ -> ()) cfg =
       | Some (Exec.Done r) -> results := r :: !results
       | Some (Exec.Poisoned p) -> quarantined := p :: !quarantined
       | None -> ())
-    outcomes;
-  Option.iter
-    (fun c ->
-      Cache.log_run c
-        ~label:
-          (Printf.sprintf "chaos seed=%d cells=%d jobs=%d" cfg.seed cfg.cells
-             cfg.jobs))
-    cache;
+    r.Durable.outcomes;
   Ok
     {
       config = cfg;
       results = List.rev !results;
       quarantined = List.rev !quarantined;
-      resumed = stats.Exec.replayed;
-      executed = stats.Exec.executed;
-      cache_counters = Option.map Cache.counters cache;
+      resumed = r.Durable.stats.Exec.replayed;
+      executed = r.Durable.stats.Exec.executed;
+      cache_counters = r.Durable.counters;
     }
 
 (* ---- rendering ---- *)

@@ -23,6 +23,8 @@ type config = {
   cells : int;
   machine : Machine.t;
   machine_name : string;
+      (** display name for {!render}; journals and cache keys identify
+          the machine by {!Machine.digest} *)
   opt : Fcc.Opt_level.t;
   budget : Convex_harness.Budget.t;
       (** per-cell watchdog.  Keep it to [max_cycles] when the journal
@@ -40,11 +42,13 @@ type config = {
       (** harness-level fault injection: these cells raise
           {!Convex_exec.Executor.Worker_killed} instead of running, so
           quarantine and graceful worker loss can be exercised end to
-          end.  Not part of the journaled config (like [budget]). *)
+          end.  Fired before the cache lookup, so a warm cell is killed
+          like a cold one.  Not part of the journaled config (like
+          [budget]). *)
   cache : string option;
       (** content-addressed result cache ({!Convex_cache.Cache}): each
-          cell's verdict is memoised under a key of (kernel, plan,
-          machine, opt, guard, budget, shrink cap) — deliberately not
+          cell's verdict is memoised under a key of (machine digest, opt,
+          guard, budget, shrink cap, kernel, plan) — deliberately not
           seed or index, so any campaign sharing the cache directory
           reuses matching cells.  Journals stay byte-identical between
           cold and warm runs. *)
@@ -118,11 +122,16 @@ val run : ?progress:(int -> unit) -> config -> (t, string) result
     final canonical rewrite, byte-identical to the sequential journal).
     With [resume] and an existing file, shards left by a killed parallel
     run are merged back first ({!Macs_util.Journal.merge_shards}), the
-    journal replayed — refusing a config mismatch or a record that
-    disagrees with the regenerated cell — and only the missing cells
-    run.  [progress] is called with each freshly executed cell index.
+    journal replayed — refusing a config mismatch (machine digest,
+    seed, cells, opt, guard or shrink cap; the message names each
+    differing field) or a record that disagrees with the regenerated
+    cell — and only the missing cells run.  The plumbing is
+    {!Convex_exec.Durable}.  [progress] is called with each freshly executed cell index.
     [Error] means the journal could not be used; the campaign itself
     never aborts on a cell. *)
+
+val cell_key : config -> int -> string
+(** The cache key [run] uses for cell [i] of [config]. *)
 
 val matrix : t -> Macs_report.Matrix.t
 (** Kernel x fault-family grid of worst verdicts. *)

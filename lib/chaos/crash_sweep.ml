@@ -378,14 +378,14 @@ let scenario_corpus ?(entries = 4) () =
 
    The full Livermore suite under the supervisor, journal and cache on;
    recovery is [~resume].  By far the most expensive scenario — meant
-   for strided sweeps from the CLI, not the unit-test sweep. *)
+   for strided sweeps.  [machine] takes the sweep off the presets. *)
 
-let scenario_suite () =
+let scenario_suite ?machine () =
   let prepare ~dir =
     let path = Filename.concat dir "suite.journal" in
     let cache = Filename.concat dir "cache" in
     let go ~resume () =
-      match Supervisor.run ~journal:path ~resume ~cache () with
+      match Supervisor.run ?machine ~journal:path ~resume ~cache () with
       | Ok _ -> ()
       | Error e -> failwith ("suite: " ^ e)
     in

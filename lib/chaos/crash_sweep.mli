@@ -77,9 +77,10 @@ val scenario_corpus : ?entries:int -> unit -> scenario
     and appends only the missing entries — nothing lost, nothing
     duplicated. *)
 
-val scenario_suite : unit -> scenario
-(** The supervised Livermore suite with journal and cache; recovery is
-    [~resume].  Expensive — meant for strided sweeps from the CLI. *)
+val scenario_suite : ?machine:Convex_machine.Machine.t -> unit -> scenario
+(** The supervised Livermore suite with journal and cache on [machine]
+    (default c240); recovery is [~resume].  Expensive — meant for
+    strided sweeps. *)
 
 val scenario_serve : unit -> scenario
 (** A scripted [macs_serve] session against a session journal and reply

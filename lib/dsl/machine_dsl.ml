@@ -5,41 +5,9 @@ open Macs_util
 let site_parse = "Machine_dsl.parse"
 let site_validate = "Machine_dsl.validate"
 
-let vclass_names =
-  [
-    ("ld", Instr.Cld);
-    ("st", Instr.Cst);
-    ("add", Instr.Cadd);
-    ("sub", Instr.Csub);
-    ("mul", Instr.Cmul);
-    ("div", Instr.Cdiv);
-    ("sqrt", Instr.Csqrt);
-    ("sum", Instr.Csum);
-    ("neg", Instr.Cneg);
-    ("cmp", Instr.Ccmp);
-    ("merge", Instr.Cmerge);
-  ]
+let vclass_names = Machine.vclass_names
 
-(* Shortest decimal that parses back to exactly the same float — the
-   Fault.to_spec idiom, so canonical specs stay human-readable without
-   losing round-trip fidelity. *)
-let float_token f =
-  let short = Printf.sprintf "%.12g" f in
-  if float_of_string short = f then short else Printf.sprintf "%.17g" f
-
-(* Names travel as one clause value, so only the clause separator, the
-   escape character itself, and control bytes need armor; everything else
-   (spaces, parens, colons, even '=') passes through literally. *)
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      if c = '%' || c = ';' || Char.code c < 0x20 || Char.code c = 0x7f then
-        Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
-      else Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* the inverse of the name escaping in [Machine.to_spec] *)
 let unescape s =
   let n = String.length s in
   let b = Buffer.create n in
@@ -60,34 +28,7 @@ let unescape s =
   in
   go 0
 
-(* ---- printing ---- *)
-
-let to_spec (m : Machine.t) =
-  let mem = m.memory in
-  let buf = Buffer.create 256 in
-  let clause fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
-  clause "name=%s" (escape m.name);
-  clause ";clock=%s" (float_token m.clock_mhz);
-  clause ";vl=%d" m.max_vl;
-  clause ";pipes=%d/%d/%d" m.pipes.load_store m.pipes.add_unit
-    m.pipes.multiply_unit;
-  clause ";pair=%d/%d" m.pair_read_limit m.pair_write_limit;
-  clause ";scalar=%d/%d" m.scalar_cycles m.scalar_memory_cycles;
-  clause ";banks=%d" mem.Mem_params.banks;
-  clause ";word=%d" mem.Mem_params.word_bytes;
-  clause ";busy=%d" mem.Mem_params.bank_busy_cycles;
-  (if mem.Mem_params.refresh_duration = 0 then clause ";refresh=none"
-   else
-     clause ";refresh=%d/%d" mem.Mem_params.refresh_duration
-       mem.Mem_params.refresh_period);
-  clause ";ports=%d" mem.Mem_params.ports;
-  List.iter
-    (fun (cname, c) ->
-      let p = Timing.get m.timing c in
-      clause ";t.%s=%d/%d/%s/%d" cname p.Timing.x p.Timing.y
-        (float_token p.Timing.z) p.Timing.b)
-    vclass_names;
-  Buffer.contents buf
+let to_spec = Machine.to_spec
 
 (* ---- validation ---- *)
 
@@ -108,7 +49,7 @@ let validate (m : Machine.t) =
        && m.clock_mhz <= 1e6 then Ok ()
     else
       fail_validate "clock: %s not a positive MHz value (max 1e6)"
-        (float_token m.clock_mhz)
+        (Machine.float_token m.clock_mhz)
   in
   let* () = check_range "vl" m.max_vl 1 4096 in
   let* () = check_range "pipes.ld" m.pipes.load_store 1 16 in
@@ -150,7 +91,7 @@ let validate (m : Machine.t) =
       then Ok ()
       else
         fail_validate "t.%s: rate Z %s not in (0, 1024]" cname
-          (float_token p.Timing.z))
+          (Machine.float_token p.Timing.z))
     (Ok ()) vclass_names
 
 (* ---- parsing ---- *)

@@ -43,7 +43,9 @@ open Convex_machine
     [to_spec (parse s)] is byte-identical to [s] for canonical [s]. *)
 
 val to_spec : Machine.t -> string
-(** Canonical full-grid spec; [parse] inverts it byte-exactly. *)
+(** Canonical full-grid spec; [parse] inverts it byte-exactly.  An alias
+    of {!Machine.to_spec}, which lives beside the machine so that
+    {!Machine.digest} can hash it. *)
 
 val parse : string -> (Machine.t, Macs_util.Macs_error.t) result
 (** Parse a preset name or clause spec.  Every malformed clause —

@@ -63,13 +63,11 @@ let poison_of_record r =
   if r.Journal.tag <> "poison" then
     Error (Printf.sprintf "expected a poison record, got %S" r.Journal.tag)
   else
-    let* index = Journal.field_err r "index" in
-    let* attempts = Journal.field_err r "attempts" in
+    let* index = Journal.int_field r "index" in
+    let* attempts = Journal.int_field r "attempts" in
     let* error = Journal.field_err r "error" in
     let* context = Journal.field_err r "context" in
-    match (Journal.get_int index, Journal.get_int attempts) with
-    | Some index, Some attempts -> Ok { index; attempts; error; context }
-    | _ -> Error "poison record: non-integer index or attempts"
+    Ok { index; attempts; error; context }
 
 type 'r journal = {
   path : string;
@@ -77,6 +75,10 @@ type 'r journal = {
   config : Journal.record;
   records_of : int -> 'r -> Journal.record list;
 }
+
+let records_of_outcome j i = function
+  | Done r -> j.records_of i r
+  | Poisoned p -> [ poison_record p ]
 
 type stats = {
   jobs : int;
@@ -112,10 +114,6 @@ let run ?(jobs = 1) ?(retry = default_retry) ?journal ?(rewrite = false)
   let locked fn =
     Mutex.lock mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock mutex) fn
-  in
-  let records_of_outcome j i = function
-    | Done r -> j.records_of i r
-    | Poisoned p -> [ poison_record p ]
   in
   let note o =
     (match o with Poisoned _ -> Atomic.incr quarantined | Done _ -> ());

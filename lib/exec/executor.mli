@@ -77,6 +77,11 @@ type 'r journal = {
           run would append them. *)
 }
 
+val records_of_outcome :
+  'r journal -> int -> 'r outcome -> Macs_util.Journal.record list
+(** The journal block of a finished cell: its records, or its poison
+    record. *)
+
 type stats = {
   jobs : int;  (** worker count actually used *)
   executed : int;  (** cells run fresh this invocation *)

@@ -14,13 +14,19 @@ type entry = {
 }
 
 let format = "macs-fuzz-corpus"
+let kind_name = function Kernel_case -> "kernel" | Asm_case -> "asm"
+
+let kind_of_name = function
+  | "kernel" -> Ok Kernel_case
+  | "asm" -> Ok Asm_case
+  | s -> Error (Printf.sprintf "unknown case kind %S" s)
 
 let record_of_entry (e : entry) =
   {
     Journal.tag = "case";
     fields =
       [
-        ("kind", match e.kind with Kernel_case -> "kernel" | Asm_case -> "asm");
+        ("kind", kind_name e.kind);
         ("machine", e.machine);
         ("seed", Journal.put_int e.seed);
         ( "expect",
@@ -35,20 +41,9 @@ let entry_of_record (r : Journal.record) =
   if r.Journal.tag <> "case" then
     Error (Printf.sprintf "unexpected record tag %S" r.Journal.tag)
   else
-    let* kind_s = Journal.field_err r "kind" in
-    let* kind =
-      match kind_s with
-      | "kernel" -> Ok Kernel_case
-      | "asm" -> Ok Asm_case
-      | s -> Error (Printf.sprintf "unknown case kind %S" s)
-    in
+    let* kind = Result.bind (Journal.field_err r "kind") kind_of_name in
     let* machine = Journal.field_err r "machine" in
-    let* seed_s = Journal.field_err r "seed" in
-    let* seed =
-      match Journal.get_int seed_s with
-      | Some n -> Ok n
-      | None -> Error "seed is not an integer"
-    in
+    let* seed = Journal.int_field r "seed" in
     let* expect_s = Journal.field_err r "expect" in
     let* expect =
       match expect_s with

@@ -22,6 +22,11 @@
 
 type kind = Kernel_case | Asm_case
 
+val kind_name : kind -> string
+(** ["kernel"] or ["asm"], as journaled. *)
+
+val kind_of_name : string -> (kind, string) result
+
 type expect = Clean | Violation of string  (** failing check id *)
 
 type entry = {

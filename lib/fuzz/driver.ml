@@ -6,6 +6,7 @@ module Table = Macs_util.Table
 module Exec = Convex_exec.Executor
 module Cache = Convex_cache.Cache
 module Journal = Macs_util.Journal
+module Durable = Convex_exec.Durable
 
 type config = {
   seed : int;
@@ -182,31 +183,7 @@ type case_out = {
    exactly what a recompute would have produced, corpus bytes
    included. *)
 
-let kind_name = function
-  | Corpus.Kernel_case -> "kernel"
-  | Corpus.Asm_case -> "asm"
-
-let kind_of_name = function
-  | "kernel" -> Some Corpus.Kernel_case
-  | "asm" -> Some Corpus.Asm_case
-  | _ -> None
-
-let machine_fingerprint m =
-  Digest.to_hex (Digest.string (Format.asprintf "%a" Machine.pp m))
-
-let case_key cfg ~index =
-  Cache.key ~kind:"fuzz-case"
-    [
-      ("seed", string_of_int cfg.seed);
-      ("index", string_of_int index);
-      ("machine", cfg.machine_name);
-      ("machine-fp", machine_fingerprint cfg.machine);
-      ("sim", Journal.put_bool cfg.sim);
-      ("budget", Budget.to_string cfg.budget);
-      ("plans", String.concat ";" (List.map Fault.to_spec cfg.fault_plans));
-    ]
-
-let case_out_payload (o : case_out) =
+let case_records (o : case_out) =
   let case_r =
     {
       Journal.tag = "fuzz-case";
@@ -227,74 +204,108 @@ let case_out_payload (o : case_out) =
           ("label", v.case_label);
           ("check", v.check);
           ("detail", v.detail);
-          ("kind", kind_name v.kind);
+          ("kind", Corpus.kind_name v.kind);
           ("payload", v.payload);
           ("steps", Journal.put_int v.shrink_steps);
           ("tried", Journal.put_int v.shrink_tried);
         ];
     }
   in
-  String.concat "\n"
-    (List.map Journal.encode
-       (case_r :: (match o.violation with None -> [] | Some v -> [ violation_r v ])))
+  case_r :: (match o.violation with None -> [] | Some v -> [ violation_r v ])
 
 let ( let* ) = Result.bind
 
-let case_out_of_payload s =
-  let* records =
-    List.fold_left
-      (fun acc line ->
-        let* acc = acc in
-        let* r = Journal.decode line in
-        Ok (r :: acc))
-      (Ok [])
-      (String.split_on_char '\n' s)
-  in
-  let int_field r k =
-    let* v = Journal.field_err r k in
-    match Journal.get_int v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "field %s: not an integer" k)
-  in
+let case_of_records records =
   let violation_of r =
-    let* case_index = int_field r "index" in
+    let* case_index = Journal.int_field r "index" in
     let* case_label = Journal.field_err r "label" in
     let* check = Journal.field_err r "check" in
     let* detail = Journal.field_err r "detail" in
-    let* kind_s = Journal.field_err r "kind" in
+    let* kind = Result.bind (Journal.field_err r "kind") Corpus.kind_of_name in
     let* payload = Journal.field_err r "payload" in
-    let* shrink_steps = int_field r "steps" in
-    let* shrink_tried = int_field r "tried" in
-    match kind_of_name kind_s with
-    | None -> Error (Printf.sprintf "unknown case kind %S" kind_s)
-    | Some kind ->
-        Ok
-          {
-            case_index;
-            case_label;
-            check;
-            detail;
-            kind;
-            payload;
-            shrink_steps;
-            shrink_tried;
-          }
+    let* shrink_steps = Journal.int_field r "steps" in
+    let* shrink_tried = Journal.int_field r "tried" in
+    Ok
+      {
+        case_index;
+        case_label;
+        check;
+        detail;
+        kind;
+        payload;
+        shrink_steps;
+        shrink_tried;
+      }
   in
   let case_of r violation =
     if r.Journal.tag <> "fuzz-case" then
       Error (Printf.sprintf "expected fuzz-case record, got %S" r.Journal.tag)
     else
       let* label = Journal.field_err r "label" in
-      let* passed = int_field r "passed" in
-      let* skipped = int_field r "skipped" in
+      let* passed = Journal.int_field r "passed" in
+      let* skipped = Journal.int_field r "skipped" in
       Ok { label; passed; skipped; violation }
   in
-  match List.rev records with
+  match records with
   | [ case_r ] -> case_of case_r None
   | [ case_r; v_r ] ->
       let* v = violation_of v_r in
       case_of case_r (Some v)
   | _ -> Error "fuzz cache payload: expected one or two records"
+
+let compute cfg index =
+  let tally = { passed = 0; skipped = 0 } in
+  let rand = Random.State.make [| cfg.seed; index |] in
+  let mix = Random.State.int rand 10 in
+  let label, violation =
+    if mix < 2 then
+      ( "asm",
+        asm_case ~index ~jobs:cfg.jobs tally
+          (QCheck.Gen.generate1 ~rand Gen.program_gen) )
+    else begin
+      let label, profile =
+        if mix < 4 then ("scalar", Gen.Scalar_profile)
+        else ("vector", Gen.Vector_profile)
+      in
+      let plans =
+        match cfg.fault_plans with
+        | [] -> []
+        | ps -> [ List.nth ps (index mod List.length ps) ]
+      in
+      ( label,
+        kernel_case cfg ~index ~label ~plans tally
+          (QCheck.Gen.generate1 ~rand (Gen.fuzz_kernel_gen profile)) )
+    end
+  in
+  { label; passed = tally.passed; skipped = tally.skipped; violation }
+
+let spec cfg =
+  {
+    Durable.kind = "fuzz-case";
+    machine = cfg.machine;
+    cells = cfg.count;
+    key =
+      (fun index ->
+        [
+          ("seed", string_of_int cfg.seed);
+          ("index", string_of_int index);
+          ("sim", Journal.put_bool cfg.sim);
+          ("budget", Budget.to_string cfg.budget);
+          ("plans", String.concat ";" (List.map Fault.to_spec cfg.fault_plans));
+        ]);
+    payload =
+      {
+        Durable.encode = case_records;
+        decode = (fun _ rs -> case_of_records rs);
+      };
+    compute = compute cfg;
+    context = (fun i -> Printf.sprintf "fuzz case %d of seed %d" i cfg.seed);
+    label =
+      Printf.sprintf "fuzz seed=%d count=%d jobs=%d" cfg.seed cfg.count
+        cfg.jobs;
+  }
+
+let case_key cfg index = Durable.key (spec cfg) index
 
 let run ?(progress = fun _ -> ()) cfg =
   let started = Clock.now () in
@@ -303,63 +314,23 @@ let run ?(progress = fun _ -> ()) cfg =
     | None -> false
     | Some cap -> Clock.elapsed ~since:started > cap
   in
-  let cache = Option.map Cache.open_dir cfg.cache in
-  let compute index =
-    let tally = { passed = 0; skipped = 0 } in
-    let rand = Random.State.make [| cfg.seed; index |] in
-    let mix = Random.State.int rand 10 in
-    let label, violation =
-      if mix < 2 then
-        ( "asm",
-          asm_case ~index ~jobs:cfg.jobs tally
-            (QCheck.Gen.generate1 ~rand Gen.program_gen) )
-      else begin
-        let label, profile =
-          if mix < 4 then ("scalar", Gen.Scalar_profile)
-          else ("vector", Gen.Vector_profile)
-        in
-        let plans =
-          match cfg.fault_plans with
-          | [] -> []
-          | ps -> [ List.nth ps (index mod List.length ps) ]
-        in
-        ( label,
-          kernel_case cfg ~index ~label ~plans tally
-            (QCheck.Gen.generate1 ~rand (Gen.fuzz_kernel_gen profile)) )
-      end
-    in
-    { label; passed = tally.passed; skipped = tally.skipped; violation }
-  in
-  let one_case index =
-    let o =
-      match cache with
-      | None -> compute index
-      | Some c -> (
-          let key = case_key cfg ~index in
-          let hit =
-            Option.bind (Cache.find c ~key) (fun payload ->
-                Result.to_option (case_out_of_payload payload))
-          in
-          match hit with
-          | Some o -> o
-          | None ->
-              let o = compute index in
-              Cache.store c ~key (case_out_payload o);
-              o)
-    in
-    (* a sequential run persists incrementally, exactly as it always has;
-       a parallel run defers to the index-ordered pass below so the
-       corpus bytes come out identical *)
+  (* a sequential run persists incrementally, exactly as it always has —
+     cache hits included; a parallel run defers to the index-ordered pass
+     below so the corpus bytes come out identical *)
+  let around index case =
+    let o = case index in
     (match o.violation with
     | Some v when cfg.jobs <= 1 -> persist cfg v
     | _ -> ());
     o
   in
-  let outcomes, estats =
-    Exec.run ~jobs:cfg.jobs ~progress ~should_stop:over_budget
-      ~context:(fun i -> Printf.sprintf "fuzz case %d of seed %d" i cfg.seed)
-      ~cells:cfg.count one_case
+  (* without a journal the runner has nothing to refuse *)
+  let r =
+    Result.get_ok
+      (Durable.run ~jobs:cfg.jobs ~progress ~should_stop:over_budget ~around
+         ?cache:cfg.cache (spec cfg))
   in
+  let outcomes = r.Durable.outcomes and estats = r.Durable.stats in
   let tally = { passed = 0; skipped = 0 } in
   let violations = ref [] in
   let by_label = Hashtbl.create 4 in
@@ -418,13 +389,6 @@ let run ?(progress = fun _ -> ()) cfg =
               [ (plan.Fault.name, "exception: " ^ Printexc.to_string e) ])
         cfg.fault_plans
   in
-  Option.iter
-    (fun c ->
-      Cache.log_run c
-        ~label:
-          (Printf.sprintf "fuzz seed=%d count=%d jobs=%d" cfg.seed cfg.count
-             cfg.jobs))
-    cache;
   {
     cases_requested = cfg.count;
     cases_run = !cases_run;
@@ -437,7 +401,7 @@ let run ?(progress = fun _ -> ()) cfg =
     probe_violations;
     wall_s = Clock.elapsed ~since:started;
     stopped_early = !stopped_early;
-    cache_counters = Option.map Cache.counters cache;
+    cache_counters = r.Durable.counters;
   }
 
 (* ---- rendering ---- *)

@@ -24,7 +24,9 @@ type config = {
   seed : int;
   count : int;
   machine : Convex_machine.Machine.t;
-  machine_name : string;  (** {!Convex_machine.Machine.of_name} spelling *)
+  machine_name : string;
+      (** {!Convex_machine.Machine.of_name} spelling, recorded in corpus
+          entries; cache keys use {!Convex_machine.Machine.digest} *)
   fault_plans : Convex_fault.Fault.t list;
   budget : Convex_harness.Budget.t;  (** per-simulation watchdog *)
   max_wall_s : float option;  (** whole-campaign wall-clock cap *)
@@ -36,7 +38,7 @@ type config = {
   cache : string option;
       (** content-addressed result cache directory
           ({!Convex_cache.Cache}): case outcomes are memoised under a
-          key of (seed, index, machine, plans, budget, sim), and a warm
+          key of (machine digest, seed, index, sim, budget, plans), and a warm
           re-run replays them without touching the oracle stack — with
           byte-identical corpus and summary, hit counters excepted *)
   fidelity : Convex_vpsim.Fastpath.fidelity;
@@ -87,6 +89,9 @@ val clean : summary -> bool
 
 val run : ?progress:(int -> unit) -> config -> summary
 (** [progress] is called with each case index before the case runs. *)
+
+val case_key : config -> int -> string
+(** The cache key [run] uses for case [i] of [config]. *)
 
 val render_summary : summary -> string
 (** The fuzz report: a campaign table plus one block per violation. *)

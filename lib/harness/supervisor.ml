@@ -3,7 +3,7 @@ open Convex_fault
 open Macs_report
 module Exec = Convex_exec.Executor
 module J = Macs_util.Journal
-module Cache = Convex_cache.Cache
+module Durable = Convex_exec.Durable
 
 type stats = { resumed : int; executed : int; estimated : int }
 
@@ -11,25 +11,20 @@ type outcome = {
   suite : Suite.t;
   stats : stats;
   quarantined : Exec.poison list;
-  cache_counters : Cache.counters option;
+  cache_counters : Convex_cache.Cache.counters option;
 }
 
 let ( let* ) = Result.bind
 
-let config_mismatch (want : Suite_journal.config)
-    (got : Suite_journal.config) =
-  let diff name w g =
-    if w = g then None else Some (Printf.sprintf "%s %S vs %S" name g w)
-  in
-  List.filter_map Fun.id
-    [
-      diff "machine" want.Suite_journal.machine got.Suite_journal.machine;
-      diff "opt" want.Suite_journal.opt got.Suite_journal.opt;
-      diff "faults" want.Suite_journal.faults got.Suite_journal.faults;
-      diff "guard"
-        (string_of_int want.Suite_journal.guard)
-        (string_of_int got.Suite_journal.guard);
-    ]
+(* the journal config fields after the machine digest: everything a
+   resumed row must share with a fresh one (the budget is deliberately
+   absent, so --retry-failed may heal rows under a different budget) *)
+let config ~opt ~faults ~guard =
+  [
+    ("opt", Fcc.Opt_level.name opt);
+    ("faults", if Fault.is_none faults then "" else Fault.to_spec faults);
+    ("guard", J.put_int guard);
+  ]
 
 (* Substitute the analytic estimate for a row the simulation could not
    finish: optimistic numbers, the diagnostic kept, the suite intact. *)
@@ -49,151 +44,15 @@ let degrade ~machine ~opt (row : Suite.row) err =
     source = Suite.Estimated err;
   }
 
-let records_of_prior = function
-  | Exec.Done c -> Suite_journal.records_of_cell c
-  | Exec.Poisoned p -> [ Exec.poison_record p ]
+let cell_codec =
+  {
+    Durable.encode = Suite_journal.records_of_cell;
+    decode = (fun _ records -> Suite_journal.cell_of_records records);
+  }
 
-(* Resume: merge any journal shards a killed parallel run left behind
-   back into the main journal ({!J.merge_shards}), then decode each
-   cell block — retry attempts and violations close with their row; a
-   lone poison record is a quarantined cell. *)
-let load_prior ~path ~config ~retry_failed ~karr =
-  let config_ok r =
-    let* got = Suite_journal.config_of_record r in
-    match config_mismatch config got with
-    | [] -> Ok ()
-    | diffs ->
-        Error
-          (Printf.sprintf
-             "journal %s was recorded under a different configuration (%s); \
-              refusing to mix incomparable rows — rerun without --resume to \
-              start over"
-             path
-             (String.concat ", " diffs))
-  in
-  let kernel_index id =
-    let rec go i =
-      if i >= Array.length karr then None
-      else if karr.(i).Lfk.Kernel.id = id then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let index_of r =
-    match r.J.tag with
-    | "row" ->
-        Option.bind (Option.bind (J.field r "lfk") J.get_int) kernel_index
-    | "poison" -> Option.bind (J.field r "index") J.get_int
-    | _ -> None
-  in
-  let had_shards = J.shards ~path <> [] in
-  let* orig, groups =
-    J.merge_shards ~path ~format:Suite_journal.format ~config_ok ~index_of
-  in
-  let* prior =
-    List.fold_left
-      (fun acc (i, records) ->
-        let* acc = acc in
-        match records with
-        | [ r ] when r.J.tag = "poison" ->
-            let* p = Exec.poison_of_record r in
-            Ok ((i, Exec.Poisoned p) :: acc)
-        | _ ->
-            let* cell = Suite_journal.cell_of_records records in
-            Ok ((i, Exec.Done cell) :: acc))
-      (Ok []) groups
-  in
-  let prior = List.rev prior in
-  let keep =
-    if retry_failed then
-      List.filter
-        (fun (_, o) ->
-          match o with
-          | Exec.Done (c : Suite_journal.cell) -> (
-              match
-                (c.Suite_journal.row.Suite.outcome, c.Suite_journal.row.Suite.source)
-              with
-              | Ok _, Suite.Measured -> true
-              | _ -> false)
-          | Exec.Poisoned _ -> false)
-        prior
-    else prior
-  in
-  if retry_failed then
-    J.write_atomic ~path ~format:Suite_journal.format
-      (orig :: List.concat_map (fun (_, o) -> records_of_prior o) keep);
-  Ok (orig, keep, retry_failed || had_shards)
-
-(* a cell's cache payload is exactly its journal record block, so a hit
-   re-journals the same bytes a recompute would have written *)
-let cell_of_payload s =
-  let* records =
-    List.fold_left
-      (fun acc line ->
-        let* acc = acc in
-        let* r = J.decode line in
-        Ok (r :: acc))
-      (Ok [])
-      (String.split_on_char '\n' s)
-  in
-  Suite_journal.cell_of_records (List.rev records)
-
-let payload_of_cell c =
-  String.concat "\n" (List.map J.encode (Suite_journal.records_of_cell c))
-
-let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
-    ?(faults = Fault.none) ?guard ?(budget = Budget.none)
-    ?(oracle_tol = Macs.Oracle.default_tol) ?(jobs = 1) ?journal
-    ?(resume = false) ?(retry_failed = false) ?cache ?fidelity () =
-  let guard =
-    match guard with
-    | Some g -> g
-    | None ->
-        if Fault.is_none faults then Convex_vpsim.Sim.default_guard
-        else Suite.faulted_guard
-  in
-  let config =
-    Suite_journal.config_of_run ~machine_name:machine.Machine.name ~opt
-      ~faults ~guard
-  in
-  let resume = resume || retry_failed in
-  let karr = Array.of_list (Suite.kernels ()) in
-  let cells = Array.length karr in
-  (* a file in the [Fresh] state — missing, empty, or an interrupted
-     create — never received a cell, so resuming into it degenerates to
-     starting over *)
-  let live path =
-    not (J.is_fresh ~path ~format:Suite_journal.format)
-  in
-  let* orig_config, prior, rewrite =
-    match journal with
-    | Some path when resume && live path ->
-        load_prior ~path ~config ~retry_failed ~karr
-    | Some _ | None -> Ok (Suite_journal.config_record config, [], false)
-  in
-  (* a fresh run (or a resume aimed at a missing file) starts the journal
-     with just the config record; a true resume appends after — or, when
-     shards were merged, rewrites over — the existing records *)
-  (match journal with
-  | Some path when (not resume) || not (live path) ->
-      Suite_journal.start ~path config
-  | _ -> ());
-  let replayed = Hashtbl.create 16 in
-  List.iter (fun (i, o) -> Hashtbl.replace replayed i o) prior;
-  let cache = Option.map Cache.open_dir cache in
-  (* [fidelity] is deliberately absent from the key: the tiers are
-     bit-identical by contract, so cached cells stay valid across the
-     flag *)
-  let cell_key k =
-    Cache.key ~kind:"suite-cell"
-      [
-        ("config", J.encode (Suite_journal.config_record config));
-        ("budget", Budget.to_string budget);
-        ("tol", J.put_float oracle_tol);
-        ("kernel", Digest.to_hex (Digest.string (Marshal.to_string k [])));
-      ]
-  in
-  let compute_cell i =
+let spec ~karr ~machine ~opt ~faults ~guard ~budget ~oracle_tol ?fidelity
+    ~jobs () =
+  let compute i =
     let k = karr.(i) in
     let watchdog =
       Budget.watchdog
@@ -220,40 +79,88 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
           violations = [];
         }
   in
-  let run_cell i =
-    match cache with
-    | None -> compute_cell i
-    | Some c -> (
-        let key = cell_key karr.(i) in
-        let hit =
-          Option.bind (Cache.find c ~key) (fun payload ->
-              Result.to_option (cell_of_payload payload))
-        in
-        match hit with
-        | Some cell -> cell
-        | None ->
-            let cell = compute_cell i in
-            Cache.store c ~key (payload_of_cell cell);
-            cell)
+  (* [fidelity] is deliberately absent from the key: the tiers are
+     bit-identical by contract, so cached cells stay valid across the
+     flag *)
+  let key i =
+    config ~opt ~faults ~guard
+    @ [
+        ("budget", Budget.to_string budget);
+        ("tol", J.put_float oracle_tol);
+        ("kernel", Durable.value_digest karr.(i));
+      ]
   in
-  let journal_spec =
+  {
+    Durable.kind = "suite-cell";
+    machine;
+    cells = Array.length karr;
+    key;
+    payload = cell_codec;
+    compute;
+    context =
+      (fun i ->
+        Printf.sprintf "LFK%d (%s)" karr.(i).Lfk.Kernel.id
+          karr.(i).Lfk.Kernel.name);
+    label = Printf.sprintf "suite machine=%s jobs=%d" machine.Machine.name jobs;
+  }
+
+let cell_key ~machine i =
+  let karr = Array.of_list (Suite.kernels ()) in
+  Durable.key
+    (spec ~karr ~machine ~opt:Fcc.Opt_level.v61 ~faults:Fault.none
+       ~guard:Convex_vpsim.Sim.default_guard ~budget:Budget.none
+       ~oracle_tol:Macs.Oracle.default_tol ~jobs:1 ())
+    i
+
+let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
+    ?(faults = Fault.none) ?guard ?(budget = Budget.none)
+    ?(oracle_tol = Macs.Oracle.default_tol) ?(jobs = 1) ?journal
+    ?(resume = false) ?(retry_failed = false) ?cache ?fidelity () =
+  let guard =
+    match guard with
+    | Some g -> g
+    | None ->
+        if Fault.is_none faults then Convex_vpsim.Sim.default_guard
+        else Suite.faulted_guard
+  in
+  let karr = Array.of_list (Suite.kernels ()) in
+  let spec =
+    spec ~karr ~machine ~opt ~faults ~guard ~budget ~oracle_tol ?fidelity
+      ~jobs ()
+  in
+  let kernel_index id = Array.find_index (fun k -> k.Lfk.Kernel.id = id) karr in
+  let journal =
     Option.map
       (fun path ->
         {
-          Exec.path;
+          Durable.path;
           format = Suite_journal.format;
-          config = orig_config;
-          records_of = (fun _ c -> Suite_journal.records_of_cell c);
+          resume = resume || retry_failed;
+          config = config ~opt ~faults ~guard;
+          records = cell_codec;
+          (* retry attempts and violations close with their row *)
+          closes =
+            (fun r ->
+              if r.J.tag = "row" then
+                Option.bind (Option.bind (J.field r "lfk") J.get_int)
+                  kernel_index
+              else None);
         })
       journal
   in
-  let outcomes, estats =
-    Exec.run ~jobs ?journal:journal_spec ~rewrite
-      ~already:(fun i -> Hashtbl.find_opt replayed i)
-      ~context:(fun i ->
-        Printf.sprintf "LFK%d (%s)" karr.(i).Lfk.Kernel.id
-          karr.(i).Lfk.Kernel.name)
-      ~cells run_cell
+  (* [retry_failed] keeps measured rows only: diagnostic, estimated and
+     quarantined cells run again *)
+  let replay = function
+    | Exec.Done (c : Suite_journal.cell) -> (
+        match c.Suite_journal.row with
+        | { Suite.outcome = Ok _; source = Suite.Measured; _ } -> true
+        | _ -> false)
+    | Exec.Poisoned _ -> false
+  in
+  let* r =
+    Durable.run ~jobs
+      ?replay:(if retry_failed then Some replay else None)
+      ?journal ?cache spec
   in
   let rows = ref [] and violations = ref [] in
   let poisons = ref [] and estimated = ref 0 in
@@ -264,33 +171,27 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
           rows := c.Suite_journal.row :: !rows;
           violations :=
             List.rev_append c.Suite_journal.violations !violations;
-          if not (Hashtbl.mem replayed i) then (
+          if not r.Durable.replayed.(i) then (
             match c.Suite_journal.row.Suite.source with
             | Suite.Estimated _ -> incr estimated
             | Suite.Measured -> ())
       | Some (Exec.Poisoned p) -> poisons := p :: !poisons
       | None -> ())
-    outcomes;
+    r.Durable.outcomes;
   let suite =
     Suite.of_rows
       ~violations:(List.rev !violations)
       ~machine ~faults (List.rev !rows)
   in
-  Option.iter
-    (fun c ->
-      Cache.log_run c
-        ~label:
-          (Printf.sprintf "suite machine=%s jobs=%d" machine.Machine.name jobs))
-    cache;
   Ok
     {
       suite;
       stats =
         {
-          resumed = estats.Exec.replayed;
-          executed = estats.Exec.executed;
+          resumed = r.Durable.stats.Exec.replayed;
+          executed = r.Durable.stats.Exec.executed;
           estimated = !estimated;
         };
       quarantined = List.rev !poisons;
-      cache_counters = Option.map Cache.counters cache;
+      cache_counters = r.Durable.counters;
     }

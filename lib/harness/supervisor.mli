@@ -68,15 +68,17 @@ val run :
   (outcome, string) result
 (** Errors only on journal problems the caller must decide about: an
     unreadable or corrupt journal, or a resume whose journaled config
-    (machine, opt level, fault plan, guard) differs from the requested
-    run — replaying rows measured under different conditions would
-    silently mix incomparable numbers.  [retry_failed] implies resume.
+    (machine digest, opt level, fault plan, guard) differs from the
+    requested run — replaying rows measured under different conditions
+    would silently mix incomparable numbers; the message names every
+    differing field.  [retry_failed] implies resume.
     Simulation failures never surface here; they degrade to estimates.
 
     [cache] points at a {!Convex_cache.Cache} directory: each cell's
-    journal record block is memoised under a key of (config, budget,
-    oracle tolerance, kernel), so a warm re-run journals byte-identical
-    records without simulating.  A resume aimed at a [Fresh] journal
+    journal record block is memoised under a key of (machine digest, opt
+    level, fault plan, guard, budget, oracle tolerance, kernel), so a
+    warm re-run journals byte-identical records without simulating.
+    Journal, cache and executor wiring is {!Convex_exec.Durable}.  A resume aimed at a [Fresh] journal
     (missing, empty, or an interrupted create — see
     {!Macs_util.Journal.inspect}) starts over instead of failing.
 
@@ -85,3 +87,7 @@ val run :
     payloads are bit-identical across tiers, so the flag is a pure speed
     knob and is excluded from both the journal config and the cache
     key. *)
+
+val cell_key : machine:Machine.t -> int -> string
+(** The cache key [run ~machine] uses for kernel cell [i], every other
+    argument at its default. *)

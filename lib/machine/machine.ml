@@ -98,6 +98,72 @@ let equal m1 m2 =
   && m1.scalar_cycles = m2.scalar_cycles
   && m1.scalar_memory_cycles = m2.scalar_memory_cycles
 
+(* ---- the canonical spec grid ---- *)
+
+let vclass_names =
+  [
+    ("ld", Convex_isa.Instr.Cld);
+    ("st", Convex_isa.Instr.Cst);
+    ("add", Convex_isa.Instr.Cadd);
+    ("sub", Convex_isa.Instr.Csub);
+    ("mul", Convex_isa.Instr.Cmul);
+    ("div", Convex_isa.Instr.Cdiv);
+    ("sqrt", Convex_isa.Instr.Csqrt);
+    ("sum", Convex_isa.Instr.Csum);
+    ("neg", Convex_isa.Instr.Cneg);
+    ("cmp", Convex_isa.Instr.Ccmp);
+    ("merge", Convex_isa.Instr.Cmerge);
+  ]
+
+(* Shortest decimal that parses back to exactly the same float — the
+   Fault.to_spec idiom, so canonical specs stay human-readable without
+   losing round-trip fidelity. *)
+let float_token f =
+  let short = Printf.sprintf "%.12g" f in
+  if float_of_string short = f then short else Printf.sprintf "%.17g" f
+
+(* Names travel as one clause value, so only the clause separator, the
+   escape character itself, and control bytes need armor; everything else
+   (spaces, parens, colons, even '=') passes through literally. *)
+let escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      if c = '%' || c = ';' || Char.code c < 0x20 || Char.code c = 0x7f then
+        Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
+      else Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let to_spec m =
+  let mem = m.memory in
+  let buf = Buffer.create 256 in
+  let clause fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
+  clause "name=%s" (escape m.name);
+  clause ";clock=%s" (float_token m.clock_mhz);
+  clause ";vl=%d" m.max_vl;
+  clause ";pipes=%d/%d/%d" m.pipes.load_store m.pipes.add_unit
+    m.pipes.multiply_unit;
+  clause ";pair=%d/%d" m.pair_read_limit m.pair_write_limit;
+  clause ";scalar=%d/%d" m.scalar_cycles m.scalar_memory_cycles;
+  clause ";banks=%d" mem.Mem_params.banks;
+  clause ";word=%d" mem.Mem_params.word_bytes;
+  clause ";busy=%d" mem.Mem_params.bank_busy_cycles;
+  (if mem.Mem_params.refresh_duration = 0 then clause ";refresh=none"
+   else
+     clause ";refresh=%d/%d" mem.Mem_params.refresh_duration
+       mem.Mem_params.refresh_period);
+  clause ";ports=%d" mem.Mem_params.ports;
+  List.iter
+    (fun (cname, c) ->
+      let p = Timing.get m.timing c in
+      clause ";t.%s=%d/%d/%s/%d" cname p.Timing.x p.Timing.y
+        (float_token p.Timing.z) p.Timing.b)
+    vclass_names;
+  Buffer.contents buf
+
+let digest m = Digest.to_hex (Digest.string (to_spec m))
+
 let presets =
   [
     ("c240", c240);

@@ -73,6 +73,23 @@ val pipe_count : t -> Pipe.t -> int
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
+val vclass_names : (string * Convex_isa.Instr.vclass) list
+(** Spec spelling of every vector class, in canonical grid order. *)
+
+val float_token : float -> string
+(** Shortest decimal that parses back to exactly the same float. *)
+
+val to_spec : t -> string
+(** The canonical full-grid spec ({!Convex_dsl.Machine_dsl} grammar):
+    every field, in a fixed clause order, floats in round-trip form. *)
+
+val digest : t -> string
+(** Machine identity: the hex MD5 of {!to_spec}.  Two machines share a
+    digest exactly when their canonical specs are equal, so every field
+    that can change a result — bank count, pair limits, scalar cycles,
+    timing rows — is part of it.  Stored results (cache keys, journal
+    config records) are keyed by this, never by the display name. *)
+
 val presets : (string * t) list
 (** Every named preset, [c240] variants included, keyed by the spelling
     the CLI and the fuzz corpus store ("c240", "ideal", "no-bubbles",

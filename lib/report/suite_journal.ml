@@ -2,39 +2,7 @@ open Macs_util
 
 let format = "macs-suite-journal"
 
-type config = { machine : string; opt : string; faults : string; guard : int }
-
-let config_of_run ~machine_name ~opt ~faults ~guard =
-  {
-    machine = machine_name;
-    opt = Fcc.Opt_level.name opt;
-    faults =
-      (if Convex_fault.Fault.is_none faults then ""
-       else Convex_fault.Fault.to_spec faults);
-    guard;
-  }
-
 let ( let* ) = Result.bind
-
-let str_field r k = Journal.field_err r k
-
-let int_field r k =
-  let* s = Journal.field_err r k in
-  match Journal.get_int s with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "field %S: bad int %S" k s)
-
-let float_field r k =
-  let* s = Journal.field_err r k in
-  match Journal.get_float s with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S: bad float %S" k s)
-
-let bool_field r k =
-  let* s = Journal.field_err r k in
-  match Journal.get_bool s with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "field %S: bad bool %S" k s)
 
 (* The structured error channel, field by field: every payload of every
    variant gets its own key, so journaled diagnostics survive a resume
@@ -87,63 +55,41 @@ let fields_of_error (e : Macs_error.t) =
       [ ("err", "interp-fault"); ("site", site); ("detail", detail) ]
 
 let error_of_record r : (Macs_error.t, string) result =
-  let* kind = str_field r "err" in
-  let* site = str_field r "site" in
+  let* kind = Journal.field_err r "err" in
+  let* site = Journal.field_err r "site" in
   match kind with
   | "livelock" ->
-      let* cycle = int_field r "cycle" in
-      let* pending = int_field r "pending" in
+      let* cycle = Journal.int_field r "cycle" in
+      let* pending = Journal.int_field r "pending" in
       let word =
         Option.bind (Journal.field r "word") Journal.get_int
       in
       Ok (Macs_error.livelock ~site ~cycle ~pending ?word ())
   | "stall-out" ->
-      let* cycle = int_field r "cycle" in
-      let* pending = int_field r "pending" in
-      let* plan = str_field r "plan" in
+      let* cycle = Journal.int_field r "cycle" in
+      let* pending = Journal.int_field r "pending" in
+      let* plan = Journal.field_err r "plan" in
       Ok (Macs_error.stall_out ~site ~cycle ~pending ~plan)
   | "dependence-cycle" ->
-      let* scheduled = int_field r "scheduled" in
-      let* total = int_field r "total" in
+      let* scheduled = Journal.int_field r "scheduled" in
+      let* total = Journal.int_field r "total" in
       Ok (Macs_error.dependence_cycle ~site ~scheduled ~total)
   | "parse-failure" ->
-      let* message = str_field r "message" in
+      let* message = Journal.field_err r "message" in
       Ok (Macs_error.parse_failure ~site message)
   | "budget-exceeded" ->
-      let* resource = str_field r "resource" in
-      let* budget = float_field r "budget" in
-      let* spent = float_field r "spent" in
+      let* resource = Journal.field_err r "resource" in
+      let* budget = Journal.float_field r "budget" in
+      let* spent = Journal.float_field r "spent" in
       Ok (Macs_error.budget_exceeded ~site ~resource ~budget ~spent)
   | "oracle-violation" ->
-      let* invariant = str_field r "invariant" in
-      let* detail = str_field r "detail" in
+      let* invariant = Journal.field_err r "invariant" in
+      let* detail = Journal.field_err r "detail" in
       Ok (Macs_error.oracle_violation ~site ~invariant detail)
   | "interp-fault" ->
-      let* detail = str_field r "detail" in
+      let* detail = Journal.field_err r "detail" in
       Ok (Macs_error.interp_fault ~site detail)
   | k -> Error (Printf.sprintf "unknown error kind %S" k)
-
-let config_record c =
-  {
-    Journal.tag = "config";
-    fields =
-      [
-        ("machine", c.machine);
-        ("opt", c.opt);
-        ("faults", c.faults);
-        ("guard", Journal.put_int c.guard);
-      ];
-  }
-
-let config_of_record r =
-  if r.Journal.tag <> "config" then
-    Error (Printf.sprintf "expected config record, got %S" r.Journal.tag)
-  else
-    let* machine = str_field r "machine" in
-    let* opt = str_field r "opt" in
-    let* faults = str_field r "faults" in
-    let* guard = int_field r "guard" in
-    Ok { machine; opt; faults; guard }
 
 let mode_name = function
   | Convex_vpsim.Job.Vector -> "vector"
@@ -186,24 +132,24 @@ let row_of_record r : (Suite.row, string) result =
   if r.Journal.tag <> "row" then
     Error (Printf.sprintf "expected row record, got %S" r.Journal.tag)
   else
-    let* id = int_field r "lfk" in
+    let* id = Journal.int_field r "lfk" in
     let* kernel =
       match Lfk.Kernels.find id with
       | k -> Ok k
       | exception Not_found -> Error (Printf.sprintf "unknown kernel LFK%d" id)
     in
-    let* mode = Result.bind (str_field r "mode") mode_of_name in
-    let* status = str_field r "status" in
+    let* mode = Result.bind (Journal.field_err r "mode") mode_of_name in
+    let* status = Journal.field_err r "status" in
     let perf ~checksum ~checksum_ok =
-      let* cpl = float_field r "cpl" in
-      let* cpf = float_field r "cpf" in
-      let* mflops = float_field r "mflops" in
+      let* cpl = Journal.float_field r "cpl" in
+      let* cpf = Journal.float_field r "cpf" in
+      let* mflops = Journal.float_field r "mflops" in
       Ok { Suite.cpl; cpf; mflops; checksum; checksum_ok }
     in
     match status with
     | "measured" ->
-        let* checksum = float_field r "checksum" in
-        let* checksum_ok = bool_field r "checksum_ok" in
+        let* checksum = Journal.float_field r "checksum" in
+        let* checksum_ok = Journal.bool_field r "checksum_ok" in
         let* p = perf ~checksum ~checksum_ok in
         Ok { Suite.kernel; mode; outcome = Ok p; source = Suite.Measured }
     | "estimated" ->
@@ -231,8 +177,8 @@ let attempt_of_record r =
   if r.Journal.tag <> "attempt" then
     Error (Printf.sprintf "expected attempt record, got %S" r.Journal.tag)
   else
-    let* lfk = int_field r "lfk" in
-    let* guard_scale = int_field r "guard_scale" in
+    let* lfk = Journal.int_field r "lfk" in
+    let* guard_scale = Journal.int_field r "guard_scale" in
     let* e = error_of_record r in
     Ok (lfk, guard_scale, e)
 
@@ -251,9 +197,9 @@ let violation_of_record r : (Macs.Oracle.violation, string) result =
   if r.Journal.tag <> "violation" then
     Error (Printf.sprintf "expected violation record, got %S" r.Journal.tag)
   else
-    let* invariant = str_field r "invariant" in
-    let* subject = str_field r "subject" in
-    let* detail = str_field r "detail" in
+    let* invariant = Journal.field_err r "invariant" in
+    let* subject = Journal.field_err r "subject" in
+    let* detail = Journal.field_err r "detail" in
     Ok { Macs.Oracle.invariant; subject; detail }
 
 (* One suite cell = one kernel's complete journal footprint, in the order
@@ -289,41 +235,3 @@ let cell_of_records records =
         | t -> Error (Printf.sprintf "unexpected record %S inside a cell" t))
   in
   go [] [] records
-
-let repair ~path = Journal.repair ~path ~format
-let start ~path config = Journal.create ~path ~format [ config_record config ]
-let append_row ~path row = Journal.append ~path (record_of_row row)
-
-let append_violation ~path v =
-  Journal.append ~path (record_of_violation v)
-
-let write ~path config ~rows ~violations =
-  Journal.create ~path ~format
-    (config_record config
-    :: List.map record_of_row rows
-    @ List.map record_of_violation violations)
-
-let load ~path =
-  let* records = Journal.load ~path ~format in
-  match records with
-  | [] -> Error "journal holds no config record"
-  | cfg :: rest ->
-      let* config = config_of_record cfg in
-      let* rows_rev, violations_rev =
-        List.fold_left
-          (fun acc r ->
-            let* rows, violations = acc in
-            match r.Journal.tag with
-            | "row" ->
-                let* row = row_of_record r in
-                Ok (row :: rows, violations)
-            | "violation" ->
-                let* v = violation_of_record r in
-                Ok (rows, v :: violations)
-            | "attempt" | "poison" ->
-                (* retry history and quarantined cells carry no row data *)
-                Ok (rows, violations)
-            | t -> Error (Printf.sprintf "unknown record tag %S" t))
-          (Ok ([], [])) rest
-      in
-      Ok (config, List.rev rows_rev, List.rev violations_rev)

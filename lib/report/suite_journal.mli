@@ -5,10 +5,12 @@
 
     Record stream layout (after the journal header):
 
-    - first a [config] record pinning the run — machine preset name, opt
-      level, fault-plan clause syntax ({!Convex_fault.Fault.to_spec}) and
-      progress guard.  Resume refuses a journal whose config differs from
-      the requested run, because replayed rows would not be comparable;
+    - first a [config] record pinning the run — machine digest
+      ({!Convex_machine.Machine.digest}), opt level, fault-plan clause
+      syntax ({!Convex_fault.Fault.to_spec}) and progress guard, written
+      and checked by {!Convex_exec.Durable}.  Resume refuses a journal
+      whose config differs from the requested run, because replayed rows
+      would not be comparable;
     - then [row] records in kernel order, each fully self-describing:
       measured rows carry the perf numbers and checksum, estimated and
       failed rows carry the structured diagnostic
@@ -24,24 +26,8 @@ open Macs_util
 val format : string
 (** Schema name carried in the journal header ("macs-suite-journal"). *)
 
-type config = {
-  machine : string;  (** preset name as given on the command line *)
-  opt : string;  (** {!Fcc.Opt_level.name} *)
-  faults : string;  (** fault-plan clause syntax; [""] for none *)
-  guard : int;
-}
-
-val config_of_run :
-  machine_name:string ->
-  opt:Fcc.Opt_level.t ->
-  faults:Convex_fault.Fault.t ->
-  guard:int ->
-  config
-
 (** {1 Record codecs} *)
 
-val config_record : config -> Journal.record
-val config_of_record : Journal.record -> (config, string) result
 val record_of_row : Suite.row -> Journal.record
 val row_of_record : Journal.record -> (Suite.row, string) result
 val record_of_violation : Macs.Oracle.violation -> Journal.record
@@ -73,30 +59,3 @@ type cell = {
 
 val records_of_cell : cell -> Journal.record list
 val cell_of_records : Journal.record list -> (cell, string) result
-
-(** {1 File operations} *)
-
-val repair : path:string -> (unit, string) result
-(** {!Journal.repair} with this schema: truncate a torn tail so resume
-    can append cleanly after a writer was killed mid-record. *)
-
-val start : path:string -> config -> unit
-(** Create a fresh journal holding just the config record. *)
-
-val append_row : path:string -> Suite.row -> unit
-val append_violation : path:string -> Macs.Oracle.violation -> unit
-
-val write :
-  path:string ->
-  config ->
-  rows:Suite.row list ->
-  violations:Macs.Oracle.violation list ->
-  unit
-(** Rewrite the whole journal in one shot (used by [--retry-failed],
-    which replaces diagnostic rows in place). *)
-
-val load :
-  path:string ->
-  (config * Suite.row list * Macs.Oracle.violation list, string) result
-(** Parse a journal back: header, config, rows and violations in their
-    journaled order.  A torn final line is dropped ({!Journal.load}). *)

@@ -96,6 +96,17 @@ let get_bool = function
   | "0" -> Some false
   | _ -> None
 
+let typed_field what get r key =
+  let* v = field_err r key in
+  match get v with
+  | Some x -> Ok x
+  | None ->
+      Error (Printf.sprintf "record %S: field %S: bad %s %S" r.tag key what v)
+
+let int_field = typed_field "int" get_int
+let float_field = typed_field "float" get_float
+let bool_field = typed_field "bool" get_bool
+
 (* ---- file I/O ---- *)
 
 let header ~format =
@@ -295,14 +306,11 @@ let shard_unwrap r =
   if r.tag <> shard_tag then
     Error (Printf.sprintf "expected a %S record, got %S" shard_tag r.tag)
   else
-    let* i = field_err r "i" in
-    let* n = field_err r "n" in
+    let* i = int_field r "i" in
+    let* n = int_field r "n" in
     let* line = field_err r "rec" in
-    match (get_int i, get_int n) with
-    | Some i, Some n ->
-        let* inner = decode line in
-        Ok (i, n, inner)
-    | _ -> Error (Printf.sprintf "%s record: non-integer cell coordinates" shard_tag)
+    let* inner = decode line in
+    Ok (i, n, inner)
 
 let shard_append ~path ~shard ~index ~seq r =
   append ~path:(shard_path ~path shard) (shard_wrap ~index ~seq r)

@@ -42,6 +42,12 @@ val get_int : string -> int option
 val put_bool : bool -> string
 val get_bool : string -> bool option
 
+val int_field : record -> string -> (int, string) result
+val float_field : record -> string -> (float, string) result
+val bool_field : record -> string -> (bool, string) result
+(** {!field_err} then the typed decoder; the error names the record,
+    the field and the bad value. *)
+
 (** {1 File operations} *)
 
 val create : ?sync:bool -> path:string -> format:string -> record list -> unit

@@ -180,6 +180,23 @@ let test_corruption_at_every_offset () =
   done;
   Alcotest.(check bool) "every corruption quarantined" true
     (quarantine_count dir = 2 * n);
+  (* an entry stored under the previous format version, its header
+     otherwise intact, is a miss and is never served *)
+  let stale_header =
+    {
+      Journal.tag = "macs-cache-entry";
+      fields =
+        [
+          ("version", string_of_int (Cache.format_version - 1));
+          ("key", key);
+          ("len", string_of_int (String.length payload));
+          ("md5", Digest.to_hex (Digest.string payload));
+        ];
+    }
+  in
+  write_file path (Journal.encode stale_header ^ "\n" ^ payload);
+  Alcotest.(check (option string))
+    "old-version entry not served" None (Cache.find t ~key);
   (* a later store repopulates and serves again *)
   Cache.store t ~key payload;
   Alcotest.(check (option string))
@@ -348,10 +365,72 @@ let prop_fuzz_warm_run_byte_identical =
       rm_rf dir;
       digest cold = digest warm && warm_hits)
 
+(* ---- machine identity ----
+
+   DSL machines from every preset plus a few result-determining clauses.
+   The value sets include the presets' own values, and the second
+   machine of a pair is often the first one's clauses reordered, so
+   distinct spellings of one machine turn up as often as distinct
+   machines. *)
+
+let machine_clauses_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 3)
+      (oneof
+         [
+           map (Printf.sprintf "banks=%d") (oneofl [ 16; 32; 64 ]);
+           map (Printf.sprintf "busy=%d") (oneofl [ 4; 8 ]);
+           map (Printf.sprintf "vl=%d") (oneofl [ 64; 128 ]);
+           oneofl [ "pair=2/1"; "pair=1/1" ];
+           oneofl [ "scalar=1/1"; "scalar=4/3" ];
+           oneofl [ "t.mul.z=1"; "t.mul.z=2" ];
+         ]))
+
+let machine_pair_gen =
+  let open QCheck.Gen in
+  let spec preset clauses = String.concat ";" (preset :: clauses) in
+  oneofl Convex_machine.Machine.preset_names >>= fun preset ->
+  machine_clauses_gen >>= fun clauses ->
+  oneof
+    [
+      map (fun cs -> (spec preset clauses, spec preset cs)) (shuffle_l clauses);
+      map2
+        (fun p cs -> (spec preset clauses, spec p cs))
+        (oneofl Convex_machine.Machine.preset_names)
+        machine_clauses_gen;
+    ]
+
+let prop_machine_identity =
+  QCheck.Test.make ~count:200
+    ~name:"machine digest and suite/fuzz/chaos keys: equal iff specs equal"
+    (QCheck.make ~print:(fun (a, b) -> a ^ " | " ^ b) machine_pair_gen)
+    (fun (sa, sb) ->
+      let machine s =
+        match Convex_dsl.Machine_dsl.of_name_or_spec s with
+        | Ok m -> m
+        | Error e -> QCheck.Test.fail_reportf "%s: %s" s e
+      in
+      let a = machine sa and b = machine sb in
+      let same =
+        Convex_machine.Machine.(to_spec a = to_spec b)
+      in
+      let identities m =
+        [
+          Convex_machine.Machine.digest m;
+          Convex_harness.Supervisor.cell_key ~machine:m 0;
+          Driver.case_key { Driver.default_config with machine = m } 0;
+          Campaign.cell_key { Campaign.default_config with machine = m } 0;
+        ]
+      in
+      List.for_all2
+        (fun x y -> x = y = same)
+        (identities a) (identities b))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_random_corruption_never_served;
+      prop_machine_identity;
       prop_chaos_warm_run_byte_identical;
       prop_fuzz_warm_run_byte_identical;
     ]

@@ -347,11 +347,24 @@ let test_campaign_refuses_config_mismatch () =
     { Campaign.default_config with seed = 5; cells = 2; journal = Some j }
   in
   let (_ : Campaign.t) = run_ok cfg in
-  match Campaign.run { cfg with Campaign.seed = 6; resume = true } with
+  (match Campaign.run { cfg with Campaign.seed = 6; resume = true } with
   | Error e ->
       Alcotest.(check bool) "mismatch is explained" true
-        (contains ~needle:"different campaign configuration" e)
-  | Ok _ -> Alcotest.fail "resume under a different seed must refuse"
+        (contains ~needle:"different campaign configuration" e);
+      Alcotest.(check bool) "the differing field is named" true
+        (contains ~needle:"seed \"5\" vs \"6\"" e)
+  | Ok _ -> Alcotest.fail "resume under a different seed must refuse");
+  (* same display name, different machine: the digest tells them apart *)
+  let banks64 =
+    match Convex_dsl.Machine_dsl.of_name_or_spec "c240;banks=64" with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  match Campaign.run { cfg with Campaign.machine = banks64; resume = true } with
+  | Error e ->
+      Alcotest.(check bool) "the machine is named" true
+        (contains ~needle:"machine \"" e)
+  | Ok _ -> Alcotest.fail "resume under a different machine must refuse"
 
 (* ---- parallel execution: jobs parity, quarantine, shard recovery ---- *)
 

@@ -35,6 +35,17 @@ let test_corpus_sweep () = check_sweep ~cross:true (Sweep.scenario_corpus ())
 let test_chaos_sweep () = check_sweep (Sweep.scenario_chaos ~cells:3 ())
 let test_fuzz_warm_sweep () = check_sweep (Sweep.scenario_fuzz ~count:4 ())
 
+(* the supervised suite on a machine no preset names: the runner's
+   journal and cache boundaries, keyed by the machine digest, swept off
+   the presets *)
+let test_suite_dsl_machine_sweep () =
+  let machine =
+    match Convex_dsl.Machine_dsl.of_name_or_spec "c240;banks=64" with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  check_sweep (Sweep.scenario_suite ~machine ())
+
 (* the harness itself must notice a recovery that loses data: a scenario
    whose recovery truncates the artifact has to produce failures *)
 let test_sweep_detects_broken_recovery () =
@@ -74,6 +85,8 @@ let () =
             `Quick test_corpus_sweep;
           Alcotest.test_case "cached chaos campaign" `Quick test_chaos_sweep;
           Alcotest.test_case "warm fuzz campaign" `Quick test_fuzz_warm_sweep;
+          Alcotest.test_case "supervised suite on a DSL machine" `Quick
+            test_suite_dsl_machine_sweep;
           Alcotest.test_case "a data-losing recovery is detected" `Quick
             test_sweep_detects_broken_recovery;
         ] );

@@ -429,6 +429,25 @@ let test_supervisor_refuses_config_mismatch () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "resume under a different machine must refuse");
+  (* a DSL override keeps the preset's display name; the machine digest
+     in the config record still refuses it, and the refusal names the
+     field *)
+  let banks64 =
+    {
+      Machine.c240 with
+      Machine.memory =
+        { Machine.c240.Machine.memory with Mem_params.banks = 64 };
+    }
+  in
+  (match Supervisor.run ~machine:banks64 ~journal:path ~resume:true () with
+  | Error e ->
+      let needle = "machine \"" in
+      let rec named i =
+        i + String.length needle <= String.length e
+        && (String.sub e i (String.length needle) = needle || named (i + 1))
+      in
+      Alcotest.(check bool) "machine field named" true (named 0)
+  | Ok _ -> Alcotest.fail "resume under a DSL variant must refuse");
   Sys.remove path
 
 (* ---- bound oracle ---- *)
