@@ -33,9 +33,10 @@ type t = {
 }
 
 val layout_of : Fcc.Compiler.t -> Layout.t
-(** Memory layout for simulating a compilation result: every array placed,
-    aliased names (LFK2's XS, LFK6's WS) sharing their target's base so
-    bank behaviour and memory dependences see through the alias. *)
+(** Memory layout for simulating a compilation result: every array of
+    {!Fcc.Compiler.storage} placed in order, aliased names (LFK2's XS,
+    LFK6's WS) sharing their target's base so bank behaviour and memory
+    dependences see through the alias.  No data is built. *)
 
 val analyze :
   ?machine:Machine.t ->

@@ -891,22 +891,32 @@ let compile ?(opt = Opt_level.v61) ?(force_scalar = false) (k : Kernel.t) =
     spilled_scalars = List.map fst scal.spilled;
   }
 
-let initial_store (c : t) =
-  let base = Lfk.Data.store_of c.kernel in
-  let existing =
-    List.map (fun name -> (name, Store.get base name)) (Store.arrays base)
-  in
+let storage (c : t) =
   let pool =
     if c.spilled_scalars = [] then []
-    else
-      [
-        ( scalar_pool_array,
-          Array.of_list
-            (List.map (fun s -> List.assoc s c.kernel.scalars)
-               c.spilled_scalars) );
-      ]
+    else [ (scalar_pool_array, List.length c.spilled_scalars) ]
   in
-  Store.create (existing @ pool)
+  (c.kernel.arrays @ pool, c.kernel.aliases)
+
+let initial_store (c : t) =
+  let arrays, aliases = storage c in
+  let declared = List.length c.kernel.arrays in
+  let data =
+    List.mapi
+      (fun i (name, size) ->
+        ( name,
+          if i < declared then Lfk.Data.fill name size
+          else
+            (* the constant pool: one slot per spilled scalar *)
+            Array.of_list
+              (List.map (fun s -> List.assoc s c.kernel.scalars)
+                 c.spilled_scalars) ))
+      arrays
+  in
+  Store.create
+    (data
+    @ List.map (fun (alias, target) -> (alias, List.assoc target data)) aliases
+    )
 
 let initial_sregs c = c.sregs
 

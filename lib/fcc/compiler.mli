@@ -40,8 +40,17 @@ val compile : ?opt:Opt_level.t -> ?force_scalar:bool -> Lfk.Kernel.t -> t
     code anyway (the vectorization-speedup ablation).  Raises
     [Invalid_argument] if the kernel fails {!Lfk.Kernel.validate}. *)
 
+val storage : t -> (string * int) list * (string * string) list
+(** Everything the compiled code addresses: [(arrays, aliases)], where
+    [arrays] lists each distinct array with its size in words — the
+    kernel's declared arrays in order, then the [SCAL] constant pool when
+    scalars spilled — and [aliases] maps each alias to the declared array
+    whose storage it shares.  {!initial_store} fills exactly these, and
+    the simulator's memory layout places them. *)
+
 val initial_store : t -> Store.t
-(** The kernel's initial data plus the compiler's constant pool. *)
+(** The kernel's initial data ({!Lfk.Data.fill}) plus the compiler's
+    constant pool, laid out by {!storage}. *)
 
 val initial_sregs : t -> (int * float) list
 

@@ -59,16 +59,16 @@ let spec ~karr ~machine ~opt ~faults ~guard ~budget ~oracle_tol ?fidelity
         ~site:(Printf.sprintf "Supervisor(%s)" k.Lfk.Kernel.name)
         budget
     in
+    let c = Fcc.Compiler.compile ~opt k in
     let row, attempts =
-      Suite.run_kernel_attempts ?watchdog ?fidelity ~machine ~opt ~faults
-        ~guard k
+      Suite.run_compiled_attempts ?watchdog ?fidelity ~machine ~faults ~guard
+        c
     in
     match row.Suite.outcome with
     | Ok p ->
         (* cross-check every measured row against the bounds hierarchy *)
         let vs =
-          Macs.Oracle.check_row ~tol:oracle_tol ~machine
-            (Fcc.Compiler.compile ~opt k)
+          Macs.Oracle.check_row ~tol:oracle_tol ~machine c
             ~measured_cpl:p.Suite.cpl
         in
         { Suite_journal.row; attempts; violations = vs }

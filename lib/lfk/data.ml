@@ -13,14 +13,21 @@ let name_seed name =
 let index_array name =
   String.length name >= 3 && String.sub name 0 3 = "IDX"
 
-let value name i =
-  if index_array name then
-    float_of_int (((i * 7919) + name_seed name) land 1023)
-  else
-    let mixed = ((i * 1664525) + name_seed name) land 0x3FFFFFFF in
-    0.001 +. (0.15 *. float_of_int (mixed mod 9973) /. 9973.0)
+(* element [i] of an array whose name hashes to [seed] *)
+let index_value seed i = float_of_int (((i * 7919) + seed) land 1023)
 
-let fill name n = Array.init n (value name)
+let data_value seed i =
+  let mixed = ((i * 1664525) + seed) land 0x3FFFFFFF in
+  0.001 +. (0.15 *. float_of_int (mixed mod 9973) /. 9973.0)
+
+let value name i =
+  if index_array name then index_value (name_seed name) i
+  else data_value (name_seed name) i
+
+let fill name n =
+  let seed = name_seed name in
+  if index_array name then Array.init n (index_value seed)
+  else Array.init n (data_value seed)
 
 let store_of (k : Kernel.t) =
   let base =

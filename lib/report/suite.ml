@@ -48,9 +48,9 @@ let kernels () =
     (fun (a : Lfk.Kernel.t) b -> compare a.id b.id)
     (Lfk.Kernels.all @ Lfk.Kernels.scalar_kernels)
 
-let run_kernel_attempts ?watchdog ?fidelity ~machine ~opt ~faults ~guard
-    (k : Lfk.Kernel.t) =
-  let c = Fcc.Compiler.compile ~opt k in
+let run_compiled_attempts ?watchdog ?fidelity ~machine ~faults ~guard
+    (c : Fcc.Compiler.t) =
+  let k = c.kernel in
   let layout = Macs.Hierarchy.layout_of c in
   let outcome, attempts =
     Retry.with_relaxed_guard_attempts (fun ~guard_scale ->
@@ -82,7 +82,9 @@ let run_kernel_attempts ?watchdog ?fidelity ~machine ~opt ~faults ~guard
   ({ kernel = k; mode = c.mode; outcome; source = Measured }, attempts)
 
 let run_kernel ?watchdog ?fidelity ~machine ~opt ~faults ~guard k =
-  fst (run_kernel_attempts ?watchdog ?fidelity ~machine ~opt ~faults ~guard k)
+  fst
+    (run_compiled_attempts ?watchdog ?fidelity ~machine ~faults ~guard
+       (Fcc.Compiler.compile ~opt k))
 
 let of_rows ?(violations = []) ~machine ~faults rows =
   let hmean sel =
