@@ -132,6 +132,10 @@ let artifact_tests () =
 let stage_tests () =
   let k1 = Lfk.Kernels.find 1 and k8 = Lfk.Kernels.find 8 in
   let c1 = Fcc.Compiler.compile k1 and c8 = Fcc.Compiler.compile k8 in
+  let c7 = Fcc.Compiler.compile (Lfk.Kernels.find 7) in
+  (* lfk5 compiles to scalar mode: its run is all scalar unit *)
+  let c5 = Fcc.Compiler.compile (Lfk.Kernels.find 5) in
+  let layout5 = Macs.Hierarchy.layout_of c5 in
   let machine = Convex_machine.Machine.c240 in
   let body1 = Convex_isa.Program.body c1.program in
   let body8 = Convex_isa.Program.body c8.program in
@@ -150,6 +154,12 @@ let stage_tests () =
     Test.make ~name:"simulate_lfk8"
       (Staged.stage (fun () ->
            Convex_vpsim.Sim.run_exn ~machine ~fidelity:cycle c8.job));
+    Test.make ~name:"simulate_lfk5"
+      (Staged.stage (fun () ->
+           Convex_vpsim.Sim.run_exn ~machine ~layout:layout5
+             ~fidelity:Convex_vpsim.Fastpath.Tiered c5.job));
+    Test.make ~name:"interp_lfk7"
+      (Staged.stage (fun () -> Fcc.Compiler.run_interp c7));
     Test.make ~name:"hierarchy_lfk1"
       (Staged.stage (fun () ->
            Macs.Hierarchy.of_compiled ~fidelity:cycle c1));

@@ -13,7 +13,13 @@
     unknown arrays come back as [Error (Interp_fault _)]
     ({!Macs_util.Macs_error.t}) — on compiler output they mean the emitted
     code does not match its kernel's storage, a diagnosable outcome rather
-    than a crash. *)
+    than a crash.
+
+    Operands are resolved once per segment and an affine stream is
+    range-checked at its first and last element, but the typed error is
+    the one an element-by-element walk gives: the first unknown array or
+    out-of-bounds element in program order.  The store's contents after a
+    fault are unspecified; no caller reads them. *)
 
 val run :
   ?max_vl:int ->

@@ -389,6 +389,91 @@ let test_pp_summary_smoke () =
       Alcotest.(check bool) needle true (go 0))
     [ "lfk1"; "MACS"; "t_p"; "t_a"; "t_x" ]
 
+(* ---- Layout ---- *)
+
+(* The oracle: the layout as derived from filled data, by building the
+   store the interpreter runs over (kernel data plus the SCAL pool),
+   placing every distinct array by its length, and binding names that
+   share an array as aliases of the first. *)
+let store_derived_layout (c : Fcc.Compiler.t) =
+  let module Store = Convex_vpsim.Store in
+  let data = Lfk.Data.store_of c.kernel in
+  let pool =
+    if c.spilled_scalars = [] then []
+    else [ ("SCAL", Array.make (List.length c.spilled_scalars) 0.0) ]
+  in
+  let store =
+    Store.create
+      (List.map (fun name -> (name, Store.get data name)) (Store.arrays data)
+      @ pool)
+  in
+  let entries, aliases =
+    List.fold_left
+      (fun (entries, aliases) name ->
+        let arr = Store.get store name in
+        match List.find_opt (fun (_, arr') -> arr' == arr) entries with
+        | Some (target, _) -> (entries, (name, target) :: aliases)
+        | None -> ((name, arr) :: entries, aliases))
+      ([], []) (Store.arrays store)
+  in
+  let layout =
+    Convex_memsys.Layout.build
+      (List.rev_map (fun (name, arr) -> (name, Array.length arr)) entries)
+  in
+  List.iter
+    (fun (name, target) ->
+      Convex_memsys.Layout.alias layout ~existing:target name)
+    aliases;
+  (layout, Store.arrays store)
+
+(* [None] when [Hierarchy.layout_of] matches the oracle: same placement
+   order, and the same base and size for every array and alias *)
+let layout_mismatch (c : Fcc.Compiler.t) =
+  let module Layout = Convex_memsys.Layout in
+  let want, names = store_derived_layout c in
+  let got = Macs.Hierarchy.layout_of c in
+  if Layout.arrays got <> Layout.arrays want then
+    Some
+      (Printf.sprintf "order [%s] vs [%s]"
+         (String.concat " " (Layout.arrays got))
+         (String.concat " " (Layout.arrays want)))
+  else
+    List.find_map
+      (fun name ->
+        let place l = (Layout.base_of l name, Layout.size_of l name) in
+        match place got with
+        | exception Not_found -> Some (name ^ " not placed")
+        | p when p <> place want -> Some (name ^ " placed differently")
+        | _ -> None)
+      names
+
+let opt_levels =
+  Fcc.Opt_level.[ v61; ideal; loads_first; packed ]
+
+let test_layout_matches_store_derivation () =
+  List.iter
+    (fun (k : Lfk.Kernel.t) ->
+      List.iter
+        (fun opt ->
+          let c = Fcc.Compiler.compile ~opt k in
+          match layout_mismatch c with
+          | None -> ()
+          | Some d ->
+              Alcotest.failf "%s at %s: %s" k.name (Fcc.Opt_level.name opt) d)
+        opt_levels)
+    (Macs_report.Suite.kernels ())
+
+let prop_layout_matches_store_derivation =
+  QCheck.Test.make ~count:150
+    ~name:"layout_of = store-derived layout on random kernels"
+    Convex_fuzz.Gen.kernel_arbitrary (fun k ->
+      List.for_all
+        (fun opt ->
+          match layout_mismatch (Fcc.Compiler.compile ~opt k) with
+          | None -> true
+          | Some d -> QCheck.Test.fail_reportf "%s: %s" (Fcc.Opt_level.name opt) d)
+        opt_levels)
+
 let test_diagnose_names_and_descriptions () =
   (* every issue constructor has a distinct name and a nonempty story *)
   let issues =
@@ -543,6 +628,7 @@ let qcheck_tests =
       prop_partition_covers; prop_partition_legal;
       prop_bound_positive_when_vector; prop_macs_at_least_mac;
       prop_sim_at_least_mac_bound; prop_ax_partition_of_vector_work;
+      prop_layout_matches_store_derivation;
     ]
 
 let () =
@@ -609,6 +695,8 @@ let () =
           Alcotest.test_case "eq 18 all kernels" `Quick test_eq18_all_kernels;
           Alcotest.test_case "pct accessors" `Quick test_pct_accessors;
           Alcotest.test_case "pp_summary" `Quick test_pp_summary_smoke;
+          Alcotest.test_case "layout = store-derived layout" `Quick
+            test_layout_matches_store_derivation;
         ] );
       ( "diagnose",
         [

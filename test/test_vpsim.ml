@@ -321,6 +321,95 @@ let test_interp_bounds_check () =
       Alcotest.failf "expected Interp_fault, got %s"
         (Macs_util.Macs_error.to_string e))
 
+(* The fault the per-element walk reports for a [vl]-element strip whose
+   element [e] reads index [first + e * stride] of a [len]-word array:
+   the reference the interpreter's once-per-strip range check must agree
+   with. *)
+let walk_fault ~array ~len ~first ~stride ~vl =
+  let rec go e =
+    if e = vl then None
+    else
+      let idx = first + (e * stride) in
+      if idx < 0 || idx >= len then
+        Some
+          (Printf.sprintf
+             "interpreter fault at Interp.run: Interp: %s[%d] out of bounds \
+              (len %d)"
+             array idx len)
+      else go (e + 1)
+  in
+  go 0
+
+let check_interp_fault name ~expected ?sregs ~store job =
+  match Interp.run ?sregs ~store job with
+  | Ok _ -> Alcotest.failf "%s: expected an out-of-bounds fault" name
+  | Error (Macs_util.Macs_error.Interp_fault _ as e) ->
+      Alcotest.(check (option string)) name expected
+        (Some (Macs_util.Macs_error.to_string e))
+  | Error e ->
+      Alcotest.failf "%s: expected Interp_fault, got %s" name
+        (Macs_util.Macs_error.to_string e)
+
+let test_interp_stride3_mid_vector () =
+  (* the first 128-element strip (indices 0..381) fits in 400 words; the
+     second, from loop index 128, leaves the array at its seventh element *)
+  let store = Store.of_sizes [ ("B", 400) ] in
+  let body = [ Instr.Vld { dst = v 0; src = mem "B" 0 3 } ] in
+  let j = Job.make ~name:"s3" ~body ~segments:[ Job.segment 200 ] () in
+  check_interp_fault "stride 3"
+    ~expected:(walk_fault ~array:"B" ~len:400 ~first:384 ~stride:3 ~vl:72)
+    ~store j;
+  Alcotest.(check (option string)) "walk names B[402]"
+    (Some
+       "interpreter fault at Interp.run: Interp: B[402] out of bounds (len \
+        400)")
+    (walk_fault ~array:"B" ~len:400 ~first:384 ~stride:3 ~vl:72)
+
+let test_interp_negative_stride () =
+  (* a descending store from word 40 of a shifted segment: the walk
+     leaves the array below word 0 *)
+  let store = Store.of_sizes [ ("A", 64) ] in
+  let body = [ Instr.Vst { src = v 0; dst = mem "A" 30 (-1) } ] in
+  let j =
+    Job.make ~name:"neg" ~body
+      ~segments:[ Job.segment ~shifts:[ ("A", 10) ] 50 ] ()
+  in
+  check_interp_fault "negative stride"
+    ~expected:(walk_fault ~array:"A" ~len:64 ~first:40 ~stride:(-1) ~vl:50)
+    ~store j;
+  (* in bounds, a negative stride reverses the stream *)
+  let store = Store.of_sizes [ ("A", 64); ("B", 64) ] in
+  let a = Store.get store "A" in
+  Array.iteri (fun i _ -> a.(i) <- float_of_int i) a;
+  let body =
+    [
+      Instr.Vld { dst = v 0; src = mem "A" 9 (-1) };
+      Instr.Vst { src = v 0; dst = mem "B" 0 1 };
+    ]
+  in
+  ignore
+    (Interp.run_exn ~store
+       (Job.make ~name:"rev" ~body ~segments:[ Job.segment 10 ] ()));
+  Alcotest.(check (float 0.0)) "b[0] = a[9]" 9.0 (Store.get store "B").(0);
+  Alcotest.(check (float 0.0)) "b[9] = a[0]" 0.0 (Store.get store "B").(9)
+
+let test_interp_scalar_load_past_end () =
+  (* scalar mode runs one iteration per strip; the eleventh reads B[10] *)
+  let store = Store.of_sizes [ ("B", 10) ] in
+  let body =
+    [
+      Instr.Sld { dst = s 0; src = mem "B" 0 1 };
+      Instr.Sbin { op = Add; dst = s 1; src1 = s 1; src2 = s 0 };
+    ]
+  in
+  let j =
+    Job.make ~mode:Job.Scalar ~name:"sld" ~body
+      ~segments:[ Job.segment 12 ] ()
+  in
+  check_interp_fault "scalar load"
+    ~expected:(walk_fault ~array:"B" ~len:10 ~first:10 ~stride:1 ~vl:1)
+    ~store j
+
 let test_interp_neg_div () =
   let store = Store.of_sizes [ ("B", 130); ("A", 130) ] in
   Array.fill (Store.get store "B") 0 130 4.0;
@@ -677,6 +766,12 @@ let () =
           Alcotest.test_case "vsum + scalar chain" `Quick
             test_interp_vsum_scalar_chain;
           Alcotest.test_case "bounds check" `Quick test_interp_bounds_check;
+          Alcotest.test_case "stride 3 faults mid-vector" `Quick
+            test_interp_stride3_mid_vector;
+          Alcotest.test_case "negative stride" `Quick
+            test_interp_negative_stride;
+          Alcotest.test_case "scalar load past the end" `Quick
+            test_interp_scalar_load_past_end;
           Alcotest.test_case "neg and div" `Quick test_interp_neg_div;
           Alcotest.test_case "segment shifts" `Quick
             test_interp_segment_shifts;
