@@ -1,9 +1,10 @@
 (* The macs_serve daemon: a crash-safe, deadline-bounded modeling service
    speaking newline-delimited JSON frames over stdio or a supervised
    loopback TCP socket.  The serving logic lives in Convex_serve.Server,
-   the connection supervision (many clients, timeouts, rate limits,
-   graceful drain) in Convex_serve.Supervisor; this file is flag
-   plumbing and signal wiring. *)
+   the connection supervision (stdio as one connection or many TCP
+   clients, timeouts, rate limits, graceful drain) in
+   Convex_serve.Supervisor; this file is flag plumbing and signal
+   wiring. *)
 
 open Cmdliner
 module Server = Convex_serve.Server
@@ -67,12 +68,6 @@ let max_batch_arg =
     value & opt int Server.default_config.Server.max_batch
     & info [ "max-batch" ] ~docv:"N" ~doc:"Items per frame before rejection.")
 
-let queue_arg =
-  Arg.(
-    value & opt int Server.default_config.Server.queue_capacity
-    & info [ "queue" ] ~docv:"N"
-        ~doc:"Pending frames before explicit load-shed replies.")
-
 let max_frame_arg =
   Arg.(
     value & opt int Server.default_config.Server.max_frame_bytes
@@ -101,7 +96,7 @@ let port_file_arg =
 let backlog_arg =
   Arg.(
     value & opt int Supervisor.default_net_config.Supervisor.backlog
-    & info [ "backlog" ] ~docv:"N" ~doc:"listen(2) backlog.")
+    & info [ "backlog" ] ~docv:"N" ~doc:"listen(2) backlog (TCP only).")
 
 let max_conns_arg =
   Arg.(
@@ -109,7 +104,7 @@ let max_conns_arg =
     & info [ "max-conns" ] ~docv:"N"
         ~doc:
           "Live connections before new clients are refused at accept with a \
-           typed overloaded envelope.")
+           typed overloaded envelope (TCP only).")
 
 let drain_ms_arg =
   Arg.(
@@ -125,7 +120,9 @@ let idle_timeout_arg =
     value
     & opt (some float) (Some 60_000.0)
     & info [ "idle-timeout-ms" ] ~docv:"MS"
-        ~doc:"Silence between frames before the connection is closed.")
+        ~doc:
+          "Silence between frames before the connection is closed (TCP \
+           only).")
 
 let read_timeout_arg =
   Arg.(
@@ -134,7 +131,7 @@ let read_timeout_arg =
     & info [ "read-timeout-ms" ] ~docv:"MS"
         ~doc:
           "First byte of a frame to its newline (slow-loris defense: a \
-           trickling client is never idle but still misses this).")
+           trickling client is never idle but still misses this; TCP only).")
 
 let write_timeout_arg =
   Arg.(
@@ -143,7 +140,8 @@ let write_timeout_arg =
     & info [ "write-timeout-ms" ] ~docv:"MS"
         ~doc:
           "Whole-reply write deadline (stalled-reader defense); on expiry \
-           the connection's replies are dropped, its journaled work kept.")
+           the connection's replies are dropped, its journaled work kept \
+           (TCP only).")
 
 let max_frames_rate_arg =
   Arg.(
@@ -152,14 +150,14 @@ let max_frames_rate_arg =
     & info [ "max-frames-per-s" ] ~docv:"RATE"
         ~doc:
           "Per-connection frame-rate token bucket; over-rate frames get a \
-           typed throttled reply and are not processed.")
+           typed throttled reply and are not processed (TCP only).")
 
 let max_bytes_rate_arg =
   Arg.(
     value
     & opt (some float) None
     & info [ "max-bytes-per-s" ] ~docv:"RATE"
-        ~doc:"Per-connection byte-rate token bucket.")
+        ~doc:"Per-connection byte-rate token bucket (TCP only).")
 
 let max_strikes_arg =
   Arg.(
@@ -167,7 +165,7 @@ let max_strikes_arg =
     & info [ "max-strikes" ] ~docv:"N"
         ~doc:
           "Consecutive whole-frame rejections before the connection is \
-           closed (garbage-flood defense).")
+           closed (garbage-flood defense; TCP only).")
 
 let pipeline_arg =
   Arg.(
@@ -177,11 +175,10 @@ let pipeline_arg =
           "Frames of one connection computing concurrently; replies are \
            re-sequenced into arrival order.  0 means follow $(b,--jobs).")
 
-let config_of jobs session cache deadline budget max_batch queue max_frame =
+let config_of jobs session cache deadline budget max_batch max_frame =
   {
     Server.jobs;
     max_batch;
-    queue_capacity = queue;
     max_frame_bytes = max_frame;
     default_deadline_ms = deadline;
     default_budget_cycles = budget;
@@ -189,8 +186,8 @@ let config_of jobs session cache deadline budget max_batch queue max_frame =
     cache_dir = cache;
   }
 
-let net_of ~jobs backlog max_conns drain_ms idle read_ write_ frames_rate
-    bytes_rate max_strikes pipeline =
+let net_of ~pipeline backlog max_conns drain_ms idle read_ write_
+    frames_rate bytes_rate max_strikes =
   {
     Supervisor.backlog;
     max_conns;
@@ -205,15 +202,24 @@ let net_of ~jobs backlog max_conns drain_ms idle read_ write_ frames_rate
         burst_s = Limiter.default_config.Limiter.burst_s;
       };
     max_strikes;
-    pipeline = (if pipeline <= 0 then max 1 jobs else pipeline);
+    pipeline;
     log_diagnostics = true;
   }
 
-let serve_tcp server ~net ~port ~port_file =
-  let sup = Supervisor.create ~net server in
-  let sock =
-    Supervisor.listen ~port ~backlog:net.Supervisor.backlog ()
-  in
+(* Stdio is one connection whose parent owns the process: the caps that
+   defend other clients from one connection (deadlines, rates, strikes)
+   have nothing to defend, and would cut off an interactive session or a
+   parent that pauses reading. *)
+let stdio_net ~pipeline ~drain_ms =
+  {
+    Supervisor.default_net_config with
+    pipeline;
+    drain_ms;
+    max_strikes = max_int;
+  }
+
+let serve_tcp ~port ~port_file ~backlog sup =
+  let sock = Supervisor.listen ~port ~backlog () in
   let bound = Supervisor.port_of sock in
   (match port_file with
   | None -> ()
@@ -222,49 +228,56 @@ let serve_tcp server ~net ~port ~port_file =
       Printf.fprintf oc "%d\n" bound;
       close_out oc);
   Printf.eprintf "macs_serve: listening on 127.0.0.1:%d\n%!" bound;
-  (* graceful drain on SIGTERM/SIGINT: flip an atomic (signal-safe);
-     the accept loop notices within its 100 ms tick *)
-  let on_signal _ = Supervisor.request_drain sup in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   Supervisor.serve sup sock;
   Printf.eprintf "macs_serve: drained\n%!"
 
+let serve_stdio sup =
+  let report =
+    Supervisor.serve_stdio sup ~input:Unix.stdin ~output:Unix.stdout
+  in
+  if report.Supervisor.outcome = Supervisor.Drained then
+    Printf.eprintf "macs_serve: drained\n%!"
+
 let serve_cmd =
-  let run jobs session cache deadline budget max_batch queue max_frame port
+  let run jobs session cache deadline budget max_batch max_frame port
       port_file backlog max_conns drain_ms idle read_ write_ frames_rate
       bytes_rate max_strikes pipeline =
     ignore_sigpipe ();
     let config =
-      config_of jobs session cache deadline budget max_batch queue max_frame
+      config_of jobs session cache deadline budget max_batch max_frame
     in
     match Server.create config with
     | Error why ->
         Printf.eprintf "macs_serve: %s\n%!" why;
         exit 2
-    | Ok server -> (
-        match port with
-        | Some port ->
-            let net =
-              net_of ~jobs backlog max_conns drain_ms idle read_ write_
-                frames_rate bytes_rate max_strikes pipeline
-            in
-            serve_tcp server ~net ~port ~port_file
-        | None ->
-            let on_signal _ = Server.request_shutdown server in
-            Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-            Server.serve server stdin stdout;
-            Server.finish server)
+    | Ok server ->
+        let pipeline = if pipeline <= 0 then max 1 jobs else pipeline in
+        let net, serve =
+          match port with
+          | Some port ->
+              ( net_of ~pipeline backlog max_conns drain_ms idle read_ write_
+                  frames_rate bytes_rate max_strikes,
+                serve_tcp ~port ~port_file ~backlog )
+          | None -> (stdio_net ~pipeline ~drain_ms, serve_stdio)
+        in
+        let sup = Supervisor.create ~net server in
+        (* graceful drain on SIGTERM/SIGINT: request_drain is signal-safe
+           and wakes every blocked read at once *)
+        let on_signal _ = Supervisor.request_drain sup in
+        Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+        Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+        serve sup
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Serve simulate/hierarchy/validate/advise batches over \
-          newline-delimited JSON frames (stdio by default; with $(b,--port), \
-          many concurrent supervised TCP clients)")
+          newline-delimited JSON frames (stdio, served as one supervised \
+          connection, by default; with $(b,--port), many concurrent \
+          supervised TCP clients)")
     Term.(
       const run $ jobs_arg $ session_arg $ cache_arg $ deadline_arg
-      $ budget_cycles_arg $ max_batch_arg $ queue_arg $ max_frame_arg
+      $ budget_cycles_arg $ max_batch_arg $ max_frame_arg
       $ port_arg $ port_file_arg $ backlog_arg $ max_conns_arg $ drain_ms_arg
       $ idle_timeout_arg $ read_timeout_arg $ write_timeout_arg
       $ max_frames_rate_arg $ max_bytes_rate_arg $ max_strikes_arg

@@ -1,18 +1,22 @@
-(* Deadline-aware line I/O over a raw file descriptor.
+(* Deadline-aware line I/O over raw file descriptors, for both
+   transports of a supervised connection: a TCP socket, or stdin/stdout
+   pipes.
 
-   The stdio loop reads through [in_channel], which blocks forever on a
-   silent peer; a supervised TCP connection cannot afford that.  This
-   module reads newline-delimited frames with [Unix.select]-bounded
-   waits — an idle gap between frames and a completion deadline per
-   started frame are separate caps, so a slow-loris client (one byte
-   per tick, forever) trips the frame deadline even though it is never
-   idle — and writes replies with a writability deadline, so a client
-   that stops reading (stalled-reader attack: the kernel send buffer
-   fills) cannot wedge the server either.  Every failure is a typed
-   result; nothing here raises on peer behaviour. *)
+   Frames are read with [Unix.select]-bounded waits — an idle gap
+   between frames and a completion deadline per started frame are
+   separate caps, so a slow-loris client (one byte per tick, forever)
+   trips the frame deadline even though it is never idle — and replies
+   are written with a writability deadline, so a client that stops
+   reading (stalled-reader attack: the kernel send buffer fills) cannot
+   wedge the server either.  Every wait also selects on an optional
+   wake descriptor: once it turns readable the reader reports end of
+   input, which is how a drain unblocks a read on a socket and a pipe
+   alike.  Every failure is a typed result; nothing here raises on peer
+   behaviour. *)
 
 type reader = {
   fd : Unix.file_descr;
+  wake : Unix.file_descr list;  (* readable = stop reading *)
   rbuf : Bytes.t;
   mutable rpos : int;  (* next unread byte in rbuf *)
   mutable rlen : int;  (* valid bytes in rbuf *)
@@ -21,9 +25,10 @@ type reader = {
   mutable at_eof : bool;
 }
 
-let reader fd =
+let reader ?wake fd =
   {
     fd;
+    wake = Option.to_list wake;
     rbuf = Bytes.create 8192;
     rpos = 0;
     rlen = 0;
@@ -47,19 +52,23 @@ type read_event =
    EINTR also just restarts the slice. *)
 let max_slice_s = 60.0
 
-(* Wait until [fd] is readable or [deadline] (a [now]-clock value)
-   passes. *)
-let rec wait_readable ~now fd ~deadline =
+(* Wait until [r.fd] is readable, a wake descriptor is readable (which
+   wins), or [deadline] (a [now]-clock value) passes. *)
+let rec wait_readable ~now r ~deadline =
   let remaining = deadline -. now () in
   if remaining <= 0.0 then `Timeout
   else
-    match Unix.select [ fd ] [] [] (Float.min remaining max_slice_s) with
+    match
+      Unix.select (r.fd :: r.wake) [] [] (Float.min remaining max_slice_s)
+    with
     | [], _, _ ->
         if now () >= deadline then `Timeout
-        else wait_readable ~now fd ~deadline
+        else wait_readable ~now r ~deadline
+    | ready, _, _ when List.exists (fun w -> List.memq w ready) r.wake ->
+        `Woken
     | _ :: _, _, _ -> `Ready
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-        wait_readable ~now fd ~deadline
+        wait_readable ~now r ~deadline
 
 let far_future = Float.max_float
 
@@ -109,7 +118,10 @@ let read_line ?idle_timeout_s ?frame_timeout_s ~now ~limit r =
     if r.at_eof then at_eof ()
     else
       let deadline = Float.min !idle_deadline !frame_deadline in
-      match wait_readable ~now r.fd ~deadline with
+      match wait_readable ~now r ~deadline with
+      | `Woken ->
+          r.at_eof <- true;
+          at_eof ()
       | `Timeout ->
           if Buffer.length r.line > 0 || r.over > 0 then
             Frame_timeout (Buffer.length r.line + r.over)

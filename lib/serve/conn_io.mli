@@ -1,6 +1,8 @@
-(** Deadline-aware newline-delimited I/O over a raw file descriptor.
+(** Deadline-aware newline-delimited I/O over raw file descriptors, for
+    both transports of a supervised connection: a TCP socket, or the
+    stdin/stdout pipes.
 
-    The supervised TCP path cannot block forever on a silent or stalled
+    A supervised connection cannot block forever on a silent or stalled
     peer the way [in_channel]/[out_channel] do.  Reads and writes here
     are bounded by [Unix.select] deadlines against an injectable clock,
     and every peer-inflicted failure — hangup, trickle, stall — comes
@@ -8,9 +10,12 @@
 
 type reader
 
-val reader : Unix.file_descr -> reader
+val reader : ?wake:Unix.file_descr -> Unix.file_descr -> reader
 (** Partial-frame state (a started line, discarded-overflow count)
-    lives in the reader and persists across {!read_line} calls. *)
+    lives in the reader and persists across {!read_line} calls.  Once
+    [wake] is readable, every read ends as if the peer had closed its
+    side ({!Eof}, or {!Torn} mid-frame) — the drain signal, which works
+    on pipes where [shutdown(2)] does not. *)
 
 type read_event =
   | Line of string  (** a complete frame, newline stripped *)

@@ -28,6 +28,10 @@ let error_reply ?id e =
     (Json.Obj
        (id_field @ [ ("ok", Json.Bool false); ("error", error_json e) ]))
 
+let too_large_error bytes limit =
+  perror ~kind:"frame-too-large"
+    (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" bytes limit)
+
 type op = Simulate | Hierarchy | Validate | Advise
 
 let op_name = function

@@ -37,8 +37,8 @@ open Convex_machine
     rejected whole.  Frame-level error kinds beyond the
     {!Macs_util.Macs_error.kind} tags: ["bad-frame"] (not a JSON
     object), ["bad-request"] (envelope violation), ["frame-too-large"],
-    ["batch-too-large"], ["overloaded"] (bounded queue full — resend
-    later), ["internal"]. *)
+    ["batch-too-large"], ["overloaded"] (every connection slot busy at
+    accept — reconnect later), ["internal"]. *)
 
 type perror = { kind : string; site : string; message : string }
 
@@ -48,6 +48,10 @@ val error_json : perror -> Json.t
 
 val error_reply : ?id:string -> perror -> string
 (** A complete one-line reply rejecting a frame. *)
+
+val too_large_error : int -> int -> perror
+(** [too_large_error bytes limit]: the ["frame-too-large"] rejection of
+    a [bytes]-long line under a [limit]-byte cap. *)
 
 type op = Simulate | Hierarchy | Validate | Advise
 

@@ -1,5 +1,6 @@
-(** The [macs_serve] request loop: newline-delimited JSON frames over a
-    channel pair, hardened end to end.
+(** The [macs_serve] request handler: one newline-delimited JSON frame
+    in, one reply line out, hardened end to end.  Connections — stdio
+    and TCP alike — are {!Supervisor}'s.
 
     - {b One reply per frame, always.}  {!handle_line} is total: any
       line — malformed JSON, envelope violations, oversized frames,
@@ -12,12 +13,6 @@
       {!Convex_harness.Budget} watchdog shared by the whole batch; items
       whose measurement is cancelled come back as [Estimate]-tier
       answers on the same connection.
-    - {b Backpressure, not OOM.}  {!serve} reads frames on a separate
-      domain into a bounded queue; when the queue is full the frame is
-      answered immediately with an ["overloaded"] error (explicit
-      load-shed) instead of buffering without bound, and a line longer
-      than [max_frame_bytes] is discarded incrementally (never held in
-      memory) and answered with ["frame-too-large"].
     - {b Idempotent retries.}  A frame's replies are keyed by
       {!Session.frame_key} (id + payload bytes) in the session journal
       and fronted by {!Convex_cache.Cache}; resending a frame replays
@@ -30,7 +25,6 @@
 type config = {
   jobs : int;  (** worker domains per batch (via {!Convex_exec.Executor}) *)
   max_batch : int;  (** items per frame before [batch-too-large] *)
-  queue_capacity : int;  (** pending frames before load-shed *)
   max_frame_bytes : int;  (** request line length before [frame-too-large] *)
   default_deadline_ms : float option;
   default_budget_cycles : float option;
@@ -39,7 +33,7 @@ type config = {
 }
 
 val default_config : config
-(** jobs 1, max_batch 64, queue 64, 1 MiB frames, no deadline, no
+(** jobs 1, max_batch 64, 1 MiB frames, no deadline, no
     session, no cache. *)
 
 type t
@@ -52,7 +46,6 @@ type stats = {
   frames : int;  (** work frames answered *)
   control : int;  (** control frames answered *)
   rejected : int;  (** frames rejected whole with a typed error *)
-  shed : int;  (** frames load-shed by the bounded queue *)
   replayed_frames : int;  (** served byte-identically from journal/cache *)
   coalesced : int;  (** of those, concurrent duplicates that parked on an
                         in-flight twin (single-flight dedup) *)
@@ -74,7 +67,7 @@ val set_stats_extra : t -> (unit -> (string * Json.t) list) -> unit
 
 val max_frame_bytes_of : t -> int
 (** The configured request-line cap (the supervisor reads it to bound
-    raw socket reads before the line ever reaches {!handle_line}). *)
+    raw reads before the line ever reaches {!handle_line}). *)
 
 val handle_line : t -> string -> string
 (** Serve one request line to one reply line (no trailing newline).
@@ -83,11 +76,8 @@ val handle_line : t -> string -> string
     journal append, one cache store, byte-identical replies. *)
 
 val shutdown_requested : t -> bool
-(** Whether a [shutdown] control frame has been served (or {!drain} /
-    {!request_shutdown} called). *)
-
-val request_shutdown : t -> unit
-(** Ask the serve loops to stop, as if a [shutdown] frame arrived. *)
+(** Whether a [shutdown] control frame has been served (or {!drain}
+    called). *)
 
 val drain : t -> within_ms:float -> unit
 (** Begin graceful drain: marks the server stopping and arms a global
@@ -101,8 +91,3 @@ val draining : t -> bool
 val finish : t -> unit
 (** Flush the session to its canonical durable form
     ({!Session.compact}); call after the last connection closes. *)
-
-val serve : t -> in_channel -> out_channel -> unit
-(** Run the loop until EOF or a [shutdown] frame: reader domain feeding
-    the bounded queue, load-shed and oversize replies written directly,
-    one reply line per frame in arrival order. *)

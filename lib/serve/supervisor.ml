@@ -1,6 +1,7 @@
-(* The connection supervisor: many concurrent TCP clients multiplexed
-   over one [Server.t], each connection on its own (lightweight) thread
-   with every resource axis bounded.
+(* The connection supervisor: one [Server.t] serving its connections —
+   the single stdin/stdout connection, or many concurrent TCP clients,
+   each on its own (lightweight) thread — through one pipeline with
+   every resource axis bounded.
 
    Lifecycle of a connection:
 
@@ -9,7 +10,9 @@
      explicit load-shed, never a silent queue;
    - reads go through {!Conn_io}: an idle cap between frames, a
      completion deadline per started frame (slow-loris defense), and
-     incremental discard of oversized lines;
+     incremental discard of oversized lines; the next frame is read only
+     once a pipeline slot is free, so a fast writer meets backpressure
+     from its own socket or pipe and no frame is ever shed;
    - each complete frame passes the per-connection {!Limiter} (frame
      rate and byte rate) or is answered [throttled] without being
      processed;
@@ -25,7 +28,8 @@
    - [max_strikes] consecutive whole-frame rejections (garbage floods)
      close the connection;
    - drain: {!request_drain} (the SIGTERM/SIGINT path) stops the accept
-     loop, shuts down every connection's read side, arms the server's
+     loop, wakes every connection's blocked read through a self-pipe
+     (a socket and a stdin pipe alike), arms the server's
      drain deadline so in-flight batches finish or degrade to
      estimate-tier answers, flushes replies, joins every thread, and
      compacts the session journal through [Server.finish].
@@ -117,10 +121,12 @@ type t = {
   conn_seq : int Atomic.t;
   drain_requested : bool Atomic.t;
   crash : exn option Atomic.t;  (* first Sink.Crashed, latched *)
+  wake_r : Unix.file_descr;  (* readable once a drain is requested *)
+  wake_w : Unix.file_descr;
   mutex : Mutex.t;  (* guards counters, reports, conns, threads *)
   counters : counters;
   mutable reports : report list;  (* most recent first, bounded *)
-  conns : (int, Unix.file_descr) Hashtbl.t;  (* live fds, for drain *)
+  conns : (int, Unix.file_descr list) Hashtbl.t;  (* live fds, for drain *)
   mutable threads : Thread.t list;
 }
 
@@ -160,6 +166,8 @@ let stats_fields t =
   ]
 
 let create ?(net = default_net_config) server =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_w;
   let t =
     {
       server;
@@ -177,6 +185,8 @@ let create ?(net = default_net_config) server =
       conn_seq = Atomic.make 0;
       drain_requested = Atomic.make false;
       crash = Atomic.make None;
+      wake_r;
+      wake_w;
       mutex = Mutex.create ();
       counters =
         {
@@ -200,6 +210,14 @@ let create ?(net = default_net_config) server =
     }
   in
   Server.set_stats_extra server (fun () -> stats_fields t);
+  (* tests and the connection fuzz rung build a supervisor per script
+     and never drain it: the pipe must not outlive it *)
+  Gc.finalise
+    (fun t ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ t.wake_r; t.wake_w ])
+    t;
   t
 
 let stash_crash t exn =
@@ -236,10 +254,6 @@ let overloaded_conn_error max_conns =
 let draining_error =
   Protocol.perror ~kind:"draining"
     "the server is draining; no new frames are accepted on this connection"
-
-let too_large_error bytes limit =
-  Protocol.perror ~kind:"frame-too-large"
-    (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" bytes limit)
 
 (* A whole-frame rejection (for the strikes counter): the reply is a
    top-level error envelope, not a batch answer with item errors. *)
@@ -281,17 +295,19 @@ let finish_report t report =
       report.frames report.replies report.throttled;
   report
 
-let handle_connection t fd =
+let connection t ~input ~output =
   let conn = Atomic.fetch_and_add t.conn_seq 1 in
   Atomic.incr t.live;
-  locked t (fun () -> Hashtbl.replace t.conns conn fd);
+  (* a socket is both input and output: close it once *)
+  let fds = List.sort_uniq compare [ input; output ] in
+  locked t (fun () -> Hashtbl.replace t.conns conn fds);
   let net = t.net in
-  let reader = Conn_io.reader fd in
+  let reader = Conn_io.reader ~wake:t.wake_r input in
   let limiter = Limiter.make ~config:net.limits ~now:t.now () in
   let write line =
     Conn_io.write_line
       ?write_timeout_s:(ms_to_s net.write_timeout_ms)
-      ~now:t.now fd line
+      ~now:t.now output line
   in
   let seqr = Sequencer.create ~write in
   let seq = ref 0 in
@@ -384,7 +400,8 @@ let handle_connection t fd =
           incr frames;
           bump t (fun c -> c.frames_read <- c.frames_read + 1);
           reject (next_seq ())
-            (too_large_error bytes (Server.max_frame_bytes_of t.server));
+            (Protocol.too_large_error bytes
+               (Server.max_frame_bytes_of t.server));
           after_frame ()
       | Conn_io.Line line -> (
           incr frames;
@@ -440,7 +457,7 @@ let handle_connection t fd =
       | None -> ignore (write (Protocol.error_reply draining_error)))
   | _ -> ());
   locked t (fun () -> Hashtbl.remove t.conns conn);
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds;
   Atomic.decr t.live;
   let report =
     finish_report t
@@ -454,6 +471,8 @@ let handle_connection t fd =
   in
   check_crash t;
   report
+
+let handle_connection t fd = connection t ~input:fd ~output:fd
 
 (* ------------------------------------------------------------------ *)
 (* Accept loop                                                         *)
@@ -507,27 +526,23 @@ let spawn_connection t fd =
   in
   locked t (fun () -> t.threads <- thread :: t.threads)
 
+(* Signal-safe (no lock): arm the server's drain deadline, flip an
+   atomic, then write one byte to the wake pipe.  Nobody consumes it, so
+   the pipe stays readable and every connection's read — blocked now or
+   started later — ends as EOF; in-flight computation keeps going until
+   the drain deadline degrades it.  The pipe is non-blocking: a repeated
+   request can never wedge. *)
 let request_drain t =
-  (* async-signal-safe: flip an atomic only; the run loop does the work *)
-  Atomic.set t.drain_requested true
+  Server.drain t.server ~within_ms:t.net.drain_ms;
+  Atomic.set t.drain_requested true;
+  try ignore (Unix.single_write_substring t.wake_w "!" 0 1 : int)
+  with Unix.Unix_error _ -> ()
 
 let draining t = Atomic.get t.drain_requested
 
-(* Cut every live connection's read side so loops blocked in select
-   wake with EOF; in-flight computation keeps going until the drain
-   deadline degrades it. *)
-let shutdown_reads t =
-  let fds =
-    locked t (fun () -> Hashtbl.fold (fun _ fd l -> fd :: l) t.conns [])
-  in
-  List.iter
-    (fun fd ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    fds
-
 let force_close t =
   let fds =
-    locked t (fun () -> Hashtbl.fold (fun _ fd l -> fd :: l) t.conns [])
+    locked t (fun () -> Hashtbl.fold (fun _ fds l -> fds @ l) t.conns [])
   in
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds
 
@@ -536,13 +551,11 @@ let join_threads t =
   List.iter (fun th -> try Thread.join th with _ -> ()) threads;
   locked t (fun () -> t.threads <- [])
 
-(* Drain to completion: stop the clock on new work, cut reads, wait for
+(* Drain to completion: stop the clock on new work, wake reads, wait for
    every connection thread within the drain window (plus slack for the
    estimate-tier fallback to land), then force-close stragglers. *)
 let drain_and_join t =
-  Server.drain t.server ~within_ms:t.net.drain_ms;
-  Atomic.set t.drain_requested true;
-  shutdown_reads t;
+  request_drain t;
   let deadline = t.now () +. (t.net.drain_ms /. 1000.0) +. 2.0 in
   let rec wait () =
     if Atomic.get t.live = 0 then ()
@@ -604,3 +617,8 @@ let serve t sock =
       in
       accept_loop ());
   drain_and_join t
+
+let serve_stdio t ~input ~output =
+  let report = connection t ~input ~output in
+  drain_and_join t;
+  report

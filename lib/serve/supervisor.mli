@@ -1,6 +1,8 @@
-(** Connection supervisor for [macs_serve]: many concurrent TCP clients
-    over one {!Server.t}, every resource axis bounded, hostile peers
-    contained per connection, graceful drain on signal.
+(** Connection supervisor for [macs_serve]: one connection pipeline for
+    both transports over one {!Server.t} — stdin/stdout served as a
+    single connection ({!serve_stdio}), or many concurrent TCP clients
+    ({!serve}) — every resource axis bounded, hostile peers contained
+    per connection, graceful drain on signal.
 
     - {b Admission control}: at most [max_conns] live connections;
       excess clients get a typed [overloaded] envelope at accept and
@@ -16,13 +18,16 @@
     - {b Reply pipelining}: with [pipeline > 1], up to that many frames
       of one connection compute concurrently; replies are re-sequenced
       into arrival order by {!Sequencer}, so the wire contract (one
-      reply per frame, in order) is unchanged.
+      reply per frame, in order) is unchanged.  The next frame is read
+      only when a slot is free: backpressure comes from the socket or
+      pipe itself, and no frame is shed.
     - {b Fault containment}: EPIPE / mid-reply hangup / stalled writes
       latch that connection's output dead and close it with a typed
       diagnostic ({!outcome}); the process and the other connections
       are untouched.  In-flight batches still finish and journal.
     - {b Graceful drain}: {!request_drain} (wired to SIGTERM/SIGINT)
-      stops the accept loop, cuts every connection's read side, arms
+      stops the accept loop, wakes every connection's blocked read
+      through a self-pipe (sockets and pipes alike), arms
       the server drain deadline (batches still running when it closes
       degrade to estimate-tier answers), flushes replies, joins all
       threads, and compacts the session journal ({!Server.finish}).
@@ -30,8 +35,8 @@
 
     A {!Macs_util.Sink.Crashed} raised by any connection (the crash
     sweep's simulated process death) is latched and re-raised by
-    {!serve} / {!drain_and_join} / {!handle_connection} — it is never
-    swallowed. *)
+    {!serve} / {!serve_stdio} / {!drain_and_join} /
+    {!handle_connection} — it is never swallowed. *)
 
 type net_config = {
   max_conns : int;  (** live connections before accept-time load-shed *)
@@ -94,10 +99,18 @@ val create : ?net:net_config -> Server.t -> t
     section of the server's [stats] control reply. *)
 
 val handle_connection : t -> Unix.file_descr -> report
-(** Serve one already-accepted connection to completion on the calling
+(** Serve one already-accepted socket to completion on the calling
     thread (the accept loop spawns a thread per connection around
     this).  Owns [fd]: always closes it.  Raises the latched
     {!Macs_util.Sink.Crashed} if any connection crashed. *)
+
+val serve_stdio :
+  t -> input:Unix.file_descr -> output:Unix.file_descr -> report
+(** Serve one connection that reads frames from [input] and writes
+    replies to [output] ([Unix.stdin] and [Unix.stdout] for stdio
+    serving) on the calling thread, through the same pipeline as a TCP
+    client, until EOF, a [shutdown] frame or {!request_drain}; then
+    {!drain_and_join}.  Owns both descriptors: always closes them. *)
 
 val listen :
   ?interface:Unix.inet_addr -> port:int -> backlog:int -> unit ->
@@ -115,18 +128,21 @@ val serve : t -> Unix.file_descr -> unit
     listen socket itself ends accepting.  Closes the socket. *)
 
 val request_drain : t -> unit
-(** Ask for graceful drain.  Async-signal-safe (flips an atomic; the
-    accept loop notices within its 100 ms tick), so it is what SIGTERM
-    and SIGINT handlers call. *)
+(** Ask for graceful drain.  Safe in a signal handler (arms the
+    server's drain deadline, flips an atomic and writes one byte to a
+    non-blocking self-pipe, taking no lock), so it is what SIGTERM and
+    SIGINT handlers call.  Every connection's read wakes at once; the
+    accept loop notices within its 100 ms tick. *)
 
 val draining : t -> bool
 
 val drain_and_join : t -> unit
-(** The drain itself: arm the server's drain deadline ([drain_ms]),
-    cut every connection's read side, wait for connection threads
+(** The drain itself: {!request_drain} (arm the [drain_ms] deadline,
+    wake every connection's read), wait for connection threads
     (force-closing stragglers after the window plus slack), join them,
-    and compact the session journal.  {!serve} calls this on exit;
-    call it directly only when driving {!handle_connection} yourself. *)
+    and compact the session journal.  {!serve} and {!serve_stdio} call
+    this on exit; call it directly only when driving
+    {!handle_connection} yourself. *)
 
 val live : t -> int
 val counters_snapshot : t -> counters

@@ -1,7 +1,8 @@
 (* Tests for convex_serve: the handwritten JSON codec, frame decoding,
-   the request loop's error envelope, deadline degradation, idempotent
-   replay through the session journal, crash-tail repair, and the
-   protocol-fuzz rung. *)
+   the request handler's error envelope, deadline degradation, idempotent
+   replay through the session journal, crash-tail repair, the supervised
+   connection over sockets and stdio pipes, and the protocol-fuzz
+   rung. *)
 
 module Json = Convex_serve.Json
 module Protocol = Convex_serve.Protocol
@@ -372,45 +373,6 @@ let test_server_refuses_foreign_journal () =
   Alcotest.(check string) "file untouched"
     "important data, definitely not a session journal" line
 
-let test_serve_loop_oversize () =
-  (* drive the full loop over pipes: a line longer than max_frame_bytes
-     is discarded incrementally and answered with a typed error, and the
-     frames around it still get their replies.  The oversize reply is
-     written out-of-band by the reader domain the moment the junk is
-     drained ("answer now, buffer nothing"), so it may interleave
-     anywhere; only the queued replies are ordered relative to each
-     other. *)
-  let r1, w1 = Unix.pipe () and r2, w2 = Unix.pipe () in
-  let server_ic = Unix.in_channel_of_descr r1
-  and server_oc = Unix.out_channel_of_descr w2
-  and client_oc = Unix.out_channel_of_descr w1
-  and client_ic = Unix.in_channel_of_descr r2 in
-  let server =
-    create_ok { Server.default_config with Server.max_frame_bytes = 256 }
-  in
-  let worker = Domain.spawn (fun () -> Server.serve server server_ic server_oc) in
-  output_string client_oc "{\"op\":\"ping\"}\n";
-  output_string client_oc
-    ("{\"id\":\"big\",\"pad\":\"" ^ String.make 400 'a' ^ "\"}\n");
-  output_string client_oc "{\"op\":\"shutdown\"}\n";
-  (* EOF unblocks the reader domain once it has drained the frames *)
-  close_out client_oc;
-  let lines = [ input_line client_ic; input_line client_ic; input_line client_ic ] in
-  Domain.join worker;
-  close_in client_ic;
-  let is_oversize l =
-    get_str [ "error"; "kind" ] (parse_ok l) = Some "frame-too-large"
-  in
-  let oversize, in_band = List.partition is_oversize lines in
-  Alcotest.(check int) "one oversize reply" 1 (List.length oversize);
-  match in_band with
-  | [ ping; shutdown ] ->
-      Alcotest.(check (option bool)) "ping ok" (Some true)
-        (Option.bind (Json.mem (parse_ok ping) "ok") Json.bool);
-      Alcotest.(check (option bool)) "shutdown ok" (Some true)
-        (Option.bind (Json.mem (parse_ok shutdown) "ok") Json.bool)
-  | _ -> Alcotest.fail "expected exactly two in-band replies"
-
 (* ---- Supervisor layer: limiter, sequencer, conn_io, connections ---- *)
 
 module Limiter = Convex_serve.Limiter
@@ -702,6 +664,162 @@ let test_supervised_concurrent_dup_single_flight () =
   close_in ic;
   Alcotest.(check int) "one journal store" 1 !lines
 
+(* ---- Stdio: one supervised connection over a pair of pipes ---- *)
+
+(* Serve a fresh stdio connection on a thread.  Returns the supervisor,
+   the client's frame writer, its reply reader, and a [finish] that
+   waits (bounded) for the entry point to return and yields the report
+   with the seconds it took. *)
+let stdio_session ?(net = Supervisor.default_net_config) server =
+  let in_r, in_w = Unix.pipe ~cloexec:true ()
+  and out_r, out_w = Unix.pipe ~cloexec:true () in
+  let sup = Supervisor.create ~net server in
+  let result = Atomic.make None in
+  let th =
+    Thread.create
+      (fun () ->
+        Atomic.set result
+          (Some (Supervisor.serve_stdio sup ~input:in_r ~output:out_w)))
+      ()
+  in
+  let send frames =
+    List.iter
+      (fun f ->
+        let line = f ^ "\n" in
+        ignore (Unix.write_substring in_w line 0 (String.length line) : int))
+      frames
+  in
+  let replies = Unix.in_channel_of_descr out_r in
+  let finish ~within_s =
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get result = None && Unix.gettimeofday () -. t0 < within_s do
+      Thread.delay 0.005
+    done;
+    match Atomic.get result with
+    | None -> Alcotest.failf "serve_stdio did not return within %.1f s" within_s
+    | Some report ->
+        Thread.join th;
+        (report, Unix.gettimeofday () -. t0)
+  in
+  (sup, send, in_w, replies, finish)
+
+let read_lines ic =
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let lines = go [] in
+  close_in ic;
+  lines
+
+let error_kind line = get_str [ "error"; "kind" ] (parse_ok line)
+
+let test_serve_loop_oversize () =
+  (* a line longer than max_frame_bytes is discarded incrementally and
+     answered with a typed error in its own arrival slot; a shutdown
+     frame is followed by the draining envelope *)
+  let server =
+    create_ok { Server.default_config with Server.max_frame_bytes = 256 }
+  in
+  let _, send, in_w, replies, finish = stdio_session server in
+  send
+    [
+      {|{"op":"ping"}|};
+      "{\"id\":\"big\",\"pad\":\"" ^ String.make 400 'a' ^ "\"}";
+      {|{"op":"shutdown"}|};
+    ];
+  Unix.close in_w;
+  let lines = read_lines replies in
+  ignore (finish ~within_s:10.0);
+  match lines with
+  | [ ping; oversize; shutdown; goodbye ] ->
+      Alcotest.(check (option bool)) "ping" (Some true)
+        (Option.bind (get [ "pong" ] (parse_ok ping)) Json.bool);
+      Alcotest.(check (option string)) "oversize in its slot"
+        (Some "frame-too-large") (error_kind oversize);
+      Alcotest.(check (option bool)) "shutdown" (Some true)
+        (Option.bind (get [ "shutdown" ] (parse_ok shutdown)) Json.bool);
+      Alcotest.(check (option string)) "draining envelope" (Some "draining")
+        (error_kind goodbye)
+  | _ -> Alcotest.failf "expected 4 reply lines, got %d" (List.length lines)
+
+let test_stdio_no_shed () =
+  (* every frame is written before any reply is read: the pipe is the
+     backpressure, so nothing is shed and the ids come back in order *)
+  let s = create_ok Server.default_config in
+  let _, send, in_w, replies, finish = stdio_session s in
+  let n = 200 in
+  send
+    (List.init n (fun i ->
+         Printf.sprintf
+           {|{"id":"f%d","op":"simulate","kernel":%d,"budget_cycles":%d}|} i
+           ((i mod 12) + 1) (1000 + i)));
+  Unix.close in_w;
+  let lines = read_lines replies in
+  let report, _ = finish ~within_s:60.0 in
+  Alcotest.(check int) "one reply per frame" n (List.length lines);
+  Alcotest.(check bool) "clean close" true
+    (report.Supervisor.outcome = Supervisor.Closed);
+  List.iteri
+    (fun i line ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "reply %d in arrival order" i)
+        (Some (Printf.sprintf "f%d" i))
+        (get_str [ "id" ] (parse_ok line));
+      Alcotest.(check bool) "not overloaded" false
+        (astr_contains line "overloaded"))
+    lines
+
+let test_stdio_drain_wakes_idle () =
+  (* an idle stdio connection with its input still open: a drain from
+     another thread returns within drain_ms plus slack, the connection
+     says goodbye, and the compacted journal equals a solo run's *)
+  let frames =
+    [
+      {|{"id":"j1","op":"simulate","kernel":7,"budget_cycles":500}|};
+      {|{"id":"j2","op":"hierarchy","kernel":3}|};
+    ]
+  in
+  let session label = Filename.concat (tmp_dir label) "s.journal" in
+  let server path =
+    create_ok { Server.default_config with Server.session = Some path }
+  in
+  let solo = session "stdio-solo" in
+  let _, send, in_w, replies, finish = stdio_session (server solo) in
+  send frames;
+  Unix.close in_w;
+  ignore (read_lines replies);
+  ignore (finish ~within_s:30.0);
+  let drained = session "stdio-drain" in
+  let drain_ms = 500.0 in
+  let net = { Supervisor.default_net_config with Supervisor.drain_ms } in
+  let sup, send, in_w, replies, finish = stdio_session ~net (server drained) in
+  send frames;
+  let first = List.map (fun _ -> input_line replies) frames in
+  Supervisor.request_drain sup;
+  let report, took = finish ~within_s:((drain_ms /. 1000.0) +. 2.0) in
+  let rest = read_lines replies in
+  Unix.close in_w;
+  Alcotest.(check int) "both frames answered" 2 (List.length first);
+  Alcotest.(check bool) "outcome drained" true
+    (report.Supervisor.outcome = Supervisor.Drained);
+  Alcotest.(check bool) "returned within the drain window" true
+    (took < (drain_ms /. 1000.0) +. 1.0);
+  (match rest with
+  | [ goodbye ] ->
+      Alcotest.(check (option string)) "draining envelope" (Some "draining")
+        (error_kind goodbye)
+  | _ -> Alcotest.fail "expected exactly the draining envelope");
+  let read path =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  Alcotest.(check string) "journal equals the solo run's" (read solo)
+    (read drained)
+
 let test_drain_degrades_in_flight () =
   (* an armed drain deadline degrades batches exactly like budget
      expiry: estimate tier, typed diagnostic, ok reply *)
@@ -812,6 +930,9 @@ let () =
             test_supervised_pipeline_order;
           Alcotest.test_case "concurrent dup single-flight" `Quick
             test_supervised_concurrent_dup_single_flight;
+          Alcotest.test_case "stdio sheds nothing" `Quick test_stdio_no_shed;
+          Alcotest.test_case "stdio drain wakes an idle read" `Quick
+            test_stdio_drain_wakes_idle;
           Alcotest.test_case "drain degrades in-flight" `Quick
             test_drain_degrades_in_flight;
           Alcotest.test_case "accept failure policy" `Quick
