@@ -226,7 +226,8 @@ let figures_cmd =
     Arg.(
       value & opt float 5.1
       & info [ "load" ] ~docv:"L"
-          ~doc:"Load average for the multi-process series of figure 3.")
+          ~doc:"Load average of figure 3's multi-process series: round(L-1) \
+                co-running CPUs, capped by the machine's ports.")
   in
   let run machine opt load which =
     let ds () = Macs_report.Dataset.compute ~machine ~opt () in

@@ -48,12 +48,11 @@ let () =
       None measured
     |> Option.get
   in
-  let c = Fcc.Compiler.compile best.Macs_report.Suite.kernel in
+  let k = best.Macs_report.Suite.kernel in
+  let c = Fcc.Compiler.compile k in
   let par =
-    Convex_vpsim.Parallel.run_exn
-      (Convex_vpsim.Parallel.replicate
-         (c.Fcc.Compiler.job, c.Fcc.Compiler.flops_per_iteration)
-         4)
+    Convex_vpsim.Cosim.run_exn
+      (List.init 4 (fun _ -> (c.Fcc.Compiler.job, k.name)))
   in
-  Format.printf "four copies of the fastest kernel (%s):@.%a@."
-    best.Macs_report.Suite.kernel.name Convex_vpsim.Parallel.pp par
+  Format.printf "four copies of the fastest kernel (%s):@.%a@." k.name
+    Convex_vpsim.Cosim.pp par

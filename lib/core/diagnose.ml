@@ -67,6 +67,8 @@ let describe = function
          close to its deliverable performance"
         (macs_coverage *. 100.0)
 
+let coverage_floor = 0.9
+
 let average_vl (h : Hierarchy.t) =
   let elements = Lfk.Kernel.total_elements h.kernel in
   let strips =
@@ -117,7 +119,7 @@ let diagnose (h : Hierarchy.t) =
       (Chime_splitting { split_chimes = splits });
   (* MACS -> t_p: unmodeled activity *)
   let coverage = macs /. p in
-  if coverage < 0.9 then begin
+  if coverage < coverage_floor then begin
     let avl = average_vl h in
     if avl < 64.0 then
       add (p -. macs) (Short_vector_startup { average_vl = avl });

@@ -32,6 +32,10 @@ type issue =
 val issue_name : issue -> string
 val describe : issue -> string
 
+val coverage_floor : float
+(** 0.9: a bound that explains at least this share of measured time
+    explains the run; below it {!diagnose} looks for unmodeled run time. *)
+
 val diagnose : Hierarchy.t -> issue list
 (** Issues in decreasing order of estimated impact; always nonempty (a
     kernel with no significant gaps reports [Well_modeled]). *)

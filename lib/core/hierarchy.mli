@@ -40,7 +40,6 @@ val layout_of : Fcc.Compiler.t -> Layout.t
 
 val analyze :
   ?machine:Machine.t ->
-  ?contention:Contention.t ->
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
   ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   ?opt:Fcc.Opt_level.t ->
@@ -58,7 +57,6 @@ val analyze :
 
 val of_compiled :
   ?machine:Machine.t ->
-  ?contention:Contention.t ->
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
   ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   Fcc.Compiler.t ->

@@ -5,8 +5,6 @@ open Macs_util
 let site_parse = "Machine_dsl.parse"
 let site_validate = "Machine_dsl.validate"
 
-let vclass_names = Machine.vclass_names
-
 (* the inverse of the name escaping in [Machine.to_spec] *)
 let unescape s =
   let n = String.length s in
@@ -27,8 +25,6 @@ let unescape s =
     end
   in
   go 0
-
-let to_spec = Machine.to_spec
 
 (* ---- validation ---- *)
 
@@ -74,7 +70,8 @@ let validate (m : Machine.t) =
         "refresh: need 0 < duration < period <= 1e9, got duration %d period %d"
         mem.Mem_params.refresh_duration mem.Mem_params.refresh_period
   in
-  let* () = check_range "ports" mem.Mem_params.ports 1 64 in
+  (* one port per CPU plus one for I/O: at least one CPU *)
+  let* () = check_range "ports" mem.Mem_params.ports 2 64 in
   List.fold_left
     (fun acc (cname, c) ->
       let* () = acc in
@@ -92,7 +89,7 @@ let validate (m : Machine.t) =
       else
         fail_validate "t.%s: rate Z %s not in (0, 1024]" cname
           (Machine.float_token p.Timing.z))
-    (Ok ()) vclass_names
+    (Ok ()) Machine.vclass_names
 
 (* ---- parsing ---- *)
 
@@ -123,11 +120,11 @@ let set_timing timing c f =
   Timing.map (fun c' p -> if Instr.equal_vclass c c' then f p else p) timing
 
 let timing_class what cname =
-  match List.assoc_opt cname vclass_names with
+  match List.assoc_opt cname Machine.vclass_names with
   | Some c -> Ok c
   | None ->
       fail_parse "%s: unknown vector class %S (one of: %s)" what cname
-        (String.concat " " (List.map fst vclass_names))
+        (String.concat " " (List.map fst Machine.vclass_names))
 
 let parse_clause (m : Machine.t) clause =
   match String.index_opt clause '=' with
@@ -301,4 +298,4 @@ let of_name_or_spec s =
   | Error e -> Error (Macs_error.to_string e)
 
 let preset_specs =
-  List.map (fun (name, m) -> (name, to_spec m)) Machine.presets
+  List.map (fun (name, m) -> (name, Machine.to_spec m)) Machine.presets

@@ -31,21 +31,18 @@ open Convex_machine
     word=<bytes>                 word size
     busy=<cycles>                bank busy (cycle) time
     refresh=<duration>/<period>  refresh window, or refresh=none
-    ports=<n>                    memory ports (contention model)
+    ports=<n>                    memory ports: one per CPU plus one for
+                                 I/O (caps the co-simulated CPUs)
     t.<class>=<x>/<y>/<z>/<b>    timing row: startup X, fill Y,
                                  per-element rate Z (float), bubble B
     t.<class>.<x|y|z|b>=<v>      single timing-field override
     v}
 
     where [<class>] is one of [ld st add sub mul div sqrt sum neg cmp
-    merge].  {!to_spec} prints the canonical full grid (every clause, in
-    the order above); [parse (to_spec m)] reconstructs [m] exactly and
-    [to_spec (parse s)] is byte-identical to [s] for canonical [s]. *)
-
-val to_spec : Machine.t -> string
-(** Canonical full-grid spec; [parse] inverts it byte-exactly.  An alias
-    of {!Machine.to_spec}, which lives beside the machine so that
-    {!Machine.digest} can hash it. *)
+    merge].  {!Machine.to_spec} prints the canonical full grid (every
+    clause, in the order above); [parse (Machine.to_spec m)] reconstructs
+    [m] exactly and [Machine.to_spec (parse s)] is byte-identical to [s]
+    for canonical [s]. *)
 
 val parse : string -> (Machine.t, Macs_util.Macs_error.t) result
 (** Parse a preset name or clause spec.  Every malformed clause —
@@ -58,7 +55,7 @@ val validate : Machine.t -> (unit, Macs_util.Macs_error.t) result
     positive finite clock, [1 <= vl <= 4096], pipe counts in [1, 16],
     pair limits in [1, 16], scalar cycles in [1, 1024], banks in
     [1, 65536], word size in [1, 64] bytes, bank busy in [0, 4096],
-    refresh [0 < duration < period] (or none), ports in [1, 64], and
+    refresh [0 < duration < period] (or none), ports in [2, 64], and
     every timing row [x, y >= 0], [b >= 0], [z] in (0, 1024] — bounds
     chosen so no wire-supplied description can make the simulator
     allocate or spin unboundedly. *)
@@ -69,7 +66,4 @@ val of_name_or_spec : string -> (Machine.t, string) result
 
 val preset_specs : (string * string) list
 (** Every stock preset re-expressed through the grammar:
-    [(name, to_spec machine)] for each of {!Machine.presets}. *)
-
-val vclass_names : (string * Convex_isa.Instr.vclass) list
-(** The [t.<class>] spellings, in timing-table order. *)
+    [(name, Machine.to_spec machine)] for each of {!Machine.presets}. *)

@@ -91,8 +91,7 @@ let bank_blocked t ~bank ~cycle =
             && cycle mod s.period >= s.period - s.duration)
           t.scrubs)
 
-(* splitmix64 finalizer over (seed, k); deterministic and stateless, the
-   same construction Contention uses for port steals *)
+(* splitmix64 finalizer over (seed, k); deterministic and stateless *)
 let mix seed k =
   let z = Int64.of_int ((seed * 0x2545f49) lxor k) in
   let z =
@@ -140,20 +139,6 @@ let pipe_extra_startup t ~cycle pipe =
       (fun acc (p : pipe_slow) ->
         if Pipe.equal p.pipe pipe then acc + p.extra_startup else acc)
       0 t.slow_pipes
-
-(* The analytic parallel-mode model is steady-state: a transient window has
-   no "current cycle" there, so the steal fraction deliberately ignores
-   [window] and describes the plan at full strength. *)
-let steal_fraction t =
-  let f =
-    List.fold_left
-      (fun acc (s : port_spike) ->
-        if s.period > 0 then
-          acc +. (float_of_int s.duration /. float_of_int s.period)
-        else acc)
-      0.0 t.port_spikes
-  in
-  Float.min 0.95 f
 
 (* ---- clause decomposition ---- *)
 

@@ -12,7 +12,9 @@ type t = {
   bank_busy_cycles : int;  (** bank cycle time, 8 clocks *)
   refresh_period : int;  (** cycles between refreshes, 400 *)
   refresh_duration : int;  (** cycles a refresh blocks the banks, 8 *)
-  ports : int;  (** memory ports: one per CPU plus one for I/O *)
+  ports : int;
+      (** memory ports: one per CPU plus one for I/O, so [ports - 1]
+          CPUs share the banks in {!Convex_vpsim.Cosim} *)
 }
 
 val c240 : t

@@ -3,7 +3,6 @@ open Convex_fault
 
 type t = {
   params : Mem_params.t;
-  contention : Contention.t;
   faults : Fault.t;
   log : (int * int) list ref option;
   bank_free_at : int array;
@@ -45,11 +44,9 @@ type t = {
          so a short leap doesn't pay an allocation *)
 }
 
-let create ?(contention = Contention.none) ?(faults = Fault.none) ?log
-    (params : Mem_params.t) =
+let create ?(faults = Fault.none) ?log (params : Mem_params.t) =
   {
     params;
-    contention;
     faults;
     log;
     bank_free_at = Array.make params.banks 0;
@@ -97,10 +94,6 @@ let refresh_active t ~cycle =
     + Fault.refresh_extension t.faults ~period:t.params.refresh_period ~cycle
   in
   cycle mod t.params.refresh_period >= t.params.refresh_period - duration
-
-let port_stolen t ~cycle =
-  Contention.sampler t.contention cycle
-  || Fault.port_blocked t.faults ~cycle
 
 let bank_of t ~word =
   let b = word mod t.params.banks in
@@ -168,11 +161,7 @@ let try_access t ~cycle ~word =
     t.refresh_stalls <- t.refresh_stalls + 1;
     false
   end
-  else if port_taken t ~cycle then begin
-    t.port_stalls <- t.port_stalls + 1;
-    false
-  end
-  else if port_stolen t ~cycle then begin
+  else if port_taken t ~cycle || Fault.port_blocked t.faults ~cycle then begin
     t.port_stalls <- t.port_stalls + 1;
     false
   end
@@ -222,13 +211,12 @@ let try_access t ~cycle ~word =
 
    Remaining obligations:
 
-   1. no contention model (a stolen port cycle would stall the stream);
-   2. the plan is {!Fault.quiescent} from the stream's start through a
+   1. the plan is {!Fault.quiescent} from the stream's start through a
       horizon past its {e actual} last access (so no stuck/scrubbed
       bank, no extra bank busy, no port spike, no refresh jitter can
       fire) — checked after the pass, because conflict drains can push
       the landing past the nominal [start + (count-1) * z] schedule;
-   3. every per-element slip stays within [max_slip] failed attempts, so
+   2. every per-element slip stays within [max_slip] failed attempts, so
       the cycle stepper would neither have tripped its progress guard
       nor polled its watchdog mid-access.
 
@@ -248,7 +236,6 @@ let refresh_cycles_below (p : Mem_params.t) q =
 let admit_stream t ~start ~count ~z ~word0 ~wstride ~max_slip =
   let p = t.params in
   if count <= 0 || z < 1 || start < 0 then None
-  else if not (Contention.is_none t.contention) then None
   else begin
     let has_refresh = p.refresh_duration > 0 && p.refresh_period <> max_int in
     let rc lo hi =

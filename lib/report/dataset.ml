@@ -6,11 +6,11 @@ type t = {
   rows : Macs.Hierarchy.t list;
 }
 
-let compute ?(machine = Machine.c240) ?contention ?(opt = Fcc.Opt_level.v61)
-    ?fidelity () =
+let compute ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61) ?fidelity
+    () =
   let rows =
     List.map
-      (fun k -> Macs.Hierarchy.analyze ~machine ?contention ?fidelity ~opt k)
+      (fun k -> Macs.Hierarchy.analyze ~machine ?fidelity ~opt k)
       Lfk.Kernels.all
   in
   { machine; opt; rows }

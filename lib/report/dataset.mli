@@ -1,5 +1,4 @@
 open Convex_machine
-open Convex_memsys
 
 (** One full evaluation of the benchmark set: every kernel compiled,
     bounded, and measured.  Computed once and shared by the table and
@@ -12,7 +11,7 @@ type t = {
 }
 
 val compute :
-  ?machine:Machine.t -> ?contention:Contention.t -> ?opt:Fcc.Opt_level.t ->
+  ?machine:Machine.t -> ?opt:Fcc.Opt_level.t ->
   ?fidelity:Convex_vpsim.Fastpath.fidelity -> unit -> t
 (** [fidelity] selects the simulator tier of every measurement exactly as
     in {!Macs.Hierarchy.analyze} (default tiered); both tiers give

@@ -8,9 +8,18 @@ val figure2 : unit -> string
 
 val figure3 : ?load_average:float -> Dataset.t -> string
 (** Figure 3: CPF per kernel as grouped bars — MA bound, MAC bound, MACS
-    bound, measured single-process, and measured with a multi-process
-    memory-contention workload ([load_average] defaults to the paper's
-    5.1). *)
+    bound, measured single-process, and measured multi-process.  Below the
+    chart, the derived multi-process slowdown and the cycles per access of
+    the memory-bound kernels, each beside the paper's value (~20%,
+    56-64 ns).  The multi-process series is {!multi_cpf}. *)
+
+val multi_cpf : ?load_average:float -> Dataset.t -> float array
+(** Figure 3's measured multi-process series, in the dataset's order.  Each
+    kernel is co-simulated ({!Convex_vpsim.Cosim}) with the next
+    [min (round (load_average - 1)) (ports - 2)] kernels of the list,
+    taken cyclically, and its single-process CPF is scaled by its own
+    CPU's slowdown.  [load_average] (the number of busy CPUs; default the
+    paper's 5.1) at or below 1 gives the single-process CPFs unchanged. *)
 
 val pipeline_trace : ?kernel:int -> unit -> string
 (** A Gantt view of the first two strips of a kernel (default LFK1) on the

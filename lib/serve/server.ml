@@ -106,8 +106,6 @@ let drain t ~within_ms =
     (Some (Unix.gettimeofday () +. (within_ms /. 1000.0), within_ms));
   t.stop <- true
 
-let draining t = Atomic.get t.drain_deadline <> None
-
 let set_stats_extra t f = t.stats_extra <- Some f
 
 let finish t =

@@ -86,8 +86,6 @@ val drain : t -> within_ms:float -> unit
     window closes degrade to analytic estimate-tier answers, exactly
     like budget expiry.  The accept loop is the supervisor's to stop. *)
 
-val draining : t -> bool
-
 val finish : t -> unit
 (** Flush the session to its canonical durable form
     ({!Session.compact}); call after the last connection closes. *)

@@ -123,9 +123,8 @@ type t = {
   crash : exn option Atomic.t;  (* first Sink.Crashed, latched *)
   wake_r : Unix.file_descr;  (* readable once a drain is requested *)
   wake_w : Unix.file_descr;
-  mutex : Mutex.t;  (* guards counters, reports, conns, threads *)
+  mutex : Mutex.t;  (* guards counters, conns, threads *)
   counters : counters;
-  mutable reports : report list;  (* most recent first, bounded *)
   conns : (int, Unix.file_descr list) Hashtbl.t;  (* live fds, for drain *)
   mutable threads : Thread.t list;
 }
@@ -204,7 +203,6 @@ let create ?(net = default_net_config) server =
           drained_conns = 0;
           accept_retries = 0;
         };
-      reports = [];
       conns = Hashtbl.create 64;
       threads = [];
     }
@@ -229,9 +227,6 @@ let check_crash t =
 
 let counters_snapshot t =
   locked t (fun () -> { t.counters with accepted = t.counters.accepted })
-
-let reports t = locked t (fun () -> t.reports)
-let live t = Atomic.get t.live
 
 (* ------------------------------------------------------------------ *)
 (* Per-connection protocol errors                                      *)
@@ -280,13 +275,6 @@ let finish_report t report =
       | Struck_out _ -> c.struck_out <- c.struck_out + 1
       | Drained -> c.drained_conns <- c.drained_conns + 1
       | Io_failed _ -> ());
-  locked t (fun () ->
-      let kept =
-        if List.length t.reports >= 256 then
-          List.filteri (fun i _ -> i < 255) t.reports
-        else t.reports
-      in
-      t.reports <- report :: kept);
   if t.net.log_diagnostics then
     Printf.eprintf
       "macs_serve: conn %d closed: %s (%d frames, %d replies, %d throttled)\n%!"
@@ -537,8 +525,6 @@ let request_drain t =
   Atomic.set t.drain_requested true;
   try ignore (Unix.single_write_substring t.wake_w "!" 0 1 : int)
   with Unix.Unix_error _ -> ()
-
-let draining t = Atomic.get t.drain_requested
 
 let force_close t =
   let fds =

@@ -134,8 +134,6 @@ val request_drain : t -> unit
     SIGINT handlers call.  Every connection's read wakes at once; the
     accept loop notices within its 100 ms tick. *)
 
-val draining : t -> bool
-
 val drain_and_join : t -> unit
 (** The drain itself: {!request_drain} (arm the [drain_ms] deadline,
     wake every connection's read), wait for connection threads
@@ -144,10 +142,7 @@ val drain_and_join : t -> unit
     this on exit; call it directly only when driving
     {!handle_connection} yourself. *)
 
-val live : t -> int
 val counters_snapshot : t -> counters
-val reports : t -> report list
-(** Most recent first, bounded to 256. *)
 
 val check_crash : t -> unit
 (** Re-raise the latched crash, if any. *)

@@ -27,12 +27,17 @@ let stream_of_job ?(machine = Machine.c240) ?faults ?fidelity ~name job =
    CPU's bank footprint with a per-CPU odd word offset. *)
 let cpu_word_offset i = i * 509
 
+(* one port per CPU, one left for I/O *)
+let max_cpus (machine : Machine.t) = machine.memory.Mem_params.ports - 1
+
 let replay ?(machine = Machine.c240) ?(stagger = 3) ?(equalize = true)
     ?(faults = Fault.none) streams =
   if streams = [] then invalid_arg "Cosim.replay: no streams";
-  if List.length streams > 4 then
-    invalid_arg "Cosim.replay: the C-240 has four CPUs";
   let mp = machine.Machine.memory in
+  if List.length streams > max_cpus machine then
+    invalid_arg
+      (Printf.sprintf "Cosim.replay: %d memory ports serve at most %d CPUs"
+         mp.Mem_params.ports (max_cpus machine));
   let banks = Array.make mp.Mem_params.banks 0 in
   let n = List.length streams in
   let cpus = Array.of_list streams in

@@ -1,20 +1,23 @@
 open Convex_machine
 
-(** Trace-replay co-simulation of the shared memory system.
+(** Trace-replay co-simulation of the shared memory system: the one model
+    of several CPUs sharing memory.  Figure 3's multi-process series,
+    parallel vector mode and the resilience report's contention probes
+    all come from it.
 
-    Where {!Parallel} models cross-CPU interference with a calibrated
-    steal probability, this module makes it {e emerge}: each workload
-    first runs solo (traced), its memory accesses are reconstructed as a
-    time-stamped stream, and the streams of up to four CPUs are then
-    replayed together, cycle by cycle, against the shared banks — each
-    CPU has its own port (as on the C-240), but a bank in its busy window
-    rejects everyone.  A rejected access slips that CPU's entire remaining
-    stream by a cycle, so contention compounds exactly as queueing does.
+    Cross-CPU interference is not calibrated here but made to {e emerge}:
+    each workload first runs solo (traced), its memory accesses are
+    reconstructed as a time-stamped stream, and the streams of up to
+    {!max_cpus} CPUs are then replayed together, cycle by cycle, against
+    the shared banks — each CPU has its own port (as on the C-240), but a
+    bank in its busy window rejects everyone.  A rejected access slips
+    that CPU's entire remaining stream by a cycle, so contention compounds
+    exactly as queueing does.
 
-    The paper's §4.2 rules of thumb then fall out rather than being
-    dialed in: identical lockstep streams interleave cleanly across banks
-    (the 5–10% case), while unrelated programs collide irregularly (the
-    ~20% case), and memory-saturated codes expose the most degradation. *)
+    Nothing is fitted to the paper's §4.2 rules of thumb (5–10% for
+    lockstep copies, ~20% for four different programs, one access every
+    56–64 ns): the renderers print what bank capacity alone derives
+    beside them, misses included. *)
 
 type access = { cycle : int; word : int }
 
@@ -46,6 +49,10 @@ val stream_of_job :
     applies the plan to the solo run; raises
     {!Macs_util.Macs_error.Error} if the solo run stalls out under it. *)
 
+val max_cpus : Machine.t -> int
+(** CPUs the machine's memory ports serve: one port per CPU plus one for
+    I/O, so [ports - 1] (4 on the C-240). *)
+
 val replay :
   ?machine:Machine.t ->
   ?stagger:int ->
@@ -61,8 +68,9 @@ val replay :
     [faults] injects bank degradation, stuck/scrubbed banks and port
     spikes into the shared-bank replay; a plan that blocks some access
     forever yields [Error (Stall_out _)] once the progress guard trips.
-    Raises [Invalid_argument] on an empty list or more than four streams
-    (contract violations, not runtime outcomes). *)
+    Raises [Invalid_argument] on an empty list or more than
+    [max_cpus machine] streams (contract violations, not runtime
+    outcomes). *)
 
 val replay_exn :
   ?machine:Machine.t ->

@@ -9,13 +9,12 @@ type t = {
   stats : Sim.stats;
 }
 
-let run ?(machine = Machine.c240) ?layout ?contention ?faults ?guard ?watchdog
-    ?fidelity ~flops_per_iteration job =
+let run ?(machine = Machine.c240) ?layout ?faults ?guard ?watchdog ?fidelity
+    ~flops_per_iteration job =
   if flops_per_iteration <= 0 then
     invalid_arg "Measure.run: nonpositive flops_per_iteration";
   match
-    Sim.run ~machine ?layout ?contention ?faults ?guard ?watchdog ?fidelity
-      job
+    Sim.run ~machine ?layout ?faults ?guard ?watchdog ?fidelity job
   with
   | Error _ as e -> e
   | Ok r ->
@@ -30,10 +29,10 @@ let run ?(machine = Machine.c240) ?layout ?contention ?faults ?guard ?watchdog
           stats = r.stats;
         }
 
-let run_exn ?machine ?layout ?contention ?faults ?guard ?watchdog ?fidelity
+let run_exn ?machine ?layout ?faults ?guard ?watchdog ?fidelity
     ~flops_per_iteration job =
   Macs_error.of_result
-    (run ?machine ?layout ?contention ?faults ?guard ?watchdog ?fidelity
+    (run ?machine ?layout ?faults ?guard ?watchdog ?fidelity
        ~flops_per_iteration job)
 
 let pp fmt m =

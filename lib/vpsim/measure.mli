@@ -15,7 +15,6 @@ type t = {
 val run :
   ?machine:Machine.t ->
   ?layout:Layout.t ->
-  ?contention:Contention.t ->
   ?faults:Convex_fault.Fault.t ->
   ?guard:int ->
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
@@ -34,7 +33,6 @@ val run :
 val run_exn :
   ?machine:Machine.t ->
   ?layout:Layout.t ->
-  ?contention:Contention.t ->
   ?faults:Convex_fault.Fault.t ->
   ?guard:int ->
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->

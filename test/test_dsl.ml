@@ -24,7 +24,7 @@ let parse_err spec =
 let test_preset_roundtrip () =
   List.iter
     (fun (name, m) ->
-      let m' = parse_ok (Dsl.to_spec m) in
+      let m' = parse_ok (Machine.to_spec m) in
       Alcotest.(check bool)
         (name ^ ": parse (to_spec m) = m")
         true (m' = m))
@@ -37,7 +37,7 @@ let test_canonical_bytes () =
       Alcotest.(check string)
         (name ^ ": canonical bytes")
         spec
-        (Dsl.to_spec (parse_ok spec)))
+        (Machine.to_spec (parse_ok spec)))
     Dsl.preset_specs
 
 let test_preset_specs_cover_presets () =
@@ -61,10 +61,10 @@ let test_name_escaping () =
   List.iter
     (fun odd ->
       let m = { (machine "c240") with Machine.name = odd } in
-      let m' = parse_ok (Dsl.to_spec m) in
+      let m' = parse_ok (Machine.to_spec m) in
       Alcotest.(check string) "name survives" odd m'.Machine.name;
-      Alcotest.(check string) "canonical bytes" (Dsl.to_spec m)
-        (Dsl.to_spec m'))
+      Alcotest.(check string) "canonical bytes" (Machine.to_spec m)
+        (Machine.to_spec m'))
     [ "a;b"; "50%;off=weird"; "tab\there"; "C-240 (what-if)" ]
 
 (* ---- overrides ---- *)
@@ -101,7 +101,7 @@ let test_override_roundtrip () =
       let m = parse_ok spec in
       Alcotest.(check bool)
         (spec ^ ": reparse") true
-        (parse_ok (Dsl.to_spec m) = m))
+        (parse_ok (Machine.to_spec m) = m))
     [
       "c240;banks=64";
       "c240;pipes.mul=2";
@@ -152,6 +152,7 @@ let test_out_of_range () =
       "c240;t.mul.z=0";
       "c240;refresh=10/5";
       "c240;ports=0";
+      "c240;ports=1";
     ]
 
 let test_validate_presets () =

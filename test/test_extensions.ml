@@ -232,48 +232,28 @@ let test_dbound_equals_mac_at_unit_stride () =
         d.t_m_d)
     Lfk.Kernels.all
 
-(* ---- Parallel ---- *)
+(* ---- Parallel vector mode (bank co-simulation) ---- *)
 
 let workload id =
   let c = Fcc.Compiler.compile (Lfk.Kernels.find id) in
-  (c.Fcc.Compiler.job, c.Fcc.Compiler.flops_per_iteration)
+  (c.Fcc.Compiler.job, c.Fcc.Compiler.kernel.Lfk.Kernel.name)
 
 let test_parallel_lockstep_band () =
-  let r = Parallel.run_exn (Parallel.replicate (workload 1) 4) in
-  Alcotest.(check bool) "detected lockstep" true r.lockstep;
+  let r = Cosim.run_exn (List.init 4 (fun _ -> workload 1)) in
   Alcotest.(check bool)
     (Printf.sprintf "lockstep %.2f in 1.03-1.15" r.average_slowdown)
     true
     (r.average_slowdown > 1.03 && r.average_slowdown < 1.15)
 
-let test_parallel_different_band () =
-  let r = Parallel.run_exn [ workload 1; workload 7; workload 9; workload 10 ] in
-  Alcotest.(check bool) "not lockstep" false r.lockstep;
-  Alcotest.(check bool)
-    (Printf.sprintf "different %.2f in 1.12-1.35" r.average_slowdown)
-    true
-    (r.average_slowdown > 1.12 && r.average_slowdown < 1.35);
-  (* lockstep must beat different programs *)
-  let ls = Parallel.run_exn (Parallel.replicate (workload 1) 4) in
-  Alcotest.(check bool) "lockstep cheaper" true
-    (ls.average_slowdown < r.average_slowdown)
-
 let test_parallel_single_cpu_free () =
-  let r = Parallel.run_exn [ workload 1 ] in
+  let r = Cosim.run_exn [ workload 10 ] in
   Alcotest.(check (float 1e-9)) "no contention alone" 1.0
     r.average_slowdown
 
-let test_parallel_guards () =
-  Alcotest.check_raises "empty" (Invalid_argument "Parallel.run: no workloads")
-    (fun () -> ignore (Parallel.run_exn []));
-  Alcotest.check_raises "five"
-    (Invalid_argument "Parallel.run: the C-240 has four CPUs") (fun () ->
-      ignore (Parallel.run_exn (Parallel.replicate (workload 1) 5)))
-
 let test_parallel_slowdowns_at_least_one () =
-  let r = Parallel.run_exn [ workload 1; workload 12 ] in
+  let r = Cosim.run_exn [ workload 1; workload 12 ] in
   List.iter
-    (fun (c : Parallel.cpu) ->
+    (fun (c : Cosim.cpu_outcome) ->
       Alcotest.(check bool) "slowdown >= 1" true (c.slowdown >= 0.999))
     r.cpus
 
@@ -457,12 +437,8 @@ let test_merge_register_dependence_timing () =
 
 (* ---- Cosim (first-principles replay) ---- *)
 
-let costream id =
-  let c = Fcc.Compiler.compile (Lfk.Kernels.find id) in
-  (c.Fcc.Compiler.job, c.Fcc.Compiler.kernel.Lfk.Kernel.name)
-
 let test_cosim_stream_capture () =
-  let job, name = costream 1 in
+  let job, name = workload 1 in
   let s = Cosim.stream_of_job ~name job in
   (* lfk1: 4 memory ops per iteration over 1001 iterations *)
   Alcotest.(check int) "access count" (4 * 1001)
@@ -476,11 +452,11 @@ let test_cosim_stream_capture () =
   Alcotest.(check bool) "strictly ordered" true (ordered s.Cosim.accesses)
 
 let test_cosim_single_cpu_free () =
-  let r = Cosim.run_exn [ costream 1 ] in
+  let r = Cosim.run_exn [ workload 1 ] in
   Alcotest.(check (float 1e-9)) "alone costs nothing" 1.0 r.average_slowdown
 
 let test_cosim_four_cpus_band () =
-  let r = Cosim.run_exn [ costream 1; costream 1; costream 1; costream 1 ] in
+  let r = Cosim.run_exn [ workload 1; workload 1; workload 1; workload 1 ] in
   Alcotest.(check bool)
     (Printf.sprintf "lockstep replay %.2f in 1.02-1.25" r.average_slowdown)
     true
@@ -492,18 +468,34 @@ let test_cosim_four_cpus_band () =
     r.cpus
 
 let test_cosim_more_cpus_more_contention () =
-  let two = Cosim.run_exn [ costream 1; costream 1 ] in
-  let four = Cosim.run_exn [ costream 1; costream 1; costream 1; costream 1 ] in
+  let two = Cosim.run_exn [ workload 1; workload 1 ] in
+  let four = Cosim.run_exn [ workload 1; workload 1; workload 1; workload 1 ] in
   Alcotest.(check bool) "four worse than two" true
     (four.average_slowdown >= two.average_slowdown)
 
 let test_cosim_guards () =
   Alcotest.check_raises "empty" (Invalid_argument "Cosim.replay: no streams")
     (fun () -> ignore (Cosim.replay []));
-  let s = Cosim.stream_of_job ~name:"x" (fst (costream 12)) in
+  let s = Cosim.stream_of_job ~name:"x" (fst (workload 12)) in
   Alcotest.check_raises "five"
-    (Invalid_argument "Cosim.replay: the C-240 has four CPUs") (fun () ->
-      ignore (Cosim.replay [ s; s; s; s; s ]))
+    (Invalid_argument "Cosim.replay: 5 memory ports serve at most 4 CPUs")
+    (fun () -> ignore (Cosim.replay [ s; s; s; s; s ]))
+
+(* the CPU cap is read from the machine's ports, one kept for I/O *)
+let test_cosim_ports_cap () =
+  let machine =
+    match Convex_dsl.Machine_dsl.parse "c240;ports=3" with
+    | Ok m -> m
+    | Error e -> Alcotest.fail (Macs_util.Macs_error.to_string e)
+  in
+  let s = Cosim.stream_of_job ~machine ~name:"x" (fst (workload 12)) in
+  Alcotest.(check int) "two CPUs" 2 (Cosim.max_cpus machine);
+  (match Cosim.replay ~machine [ s; s ] with
+  | Ok r -> Alcotest.(check int) "two replayed" 2 (List.length r.cpus)
+  | Error e -> Alcotest.fail (Macs_util.Macs_error.to_string e));
+  Alcotest.check_raises "third stream"
+    (Invalid_argument "Cosim.replay: 3 memory ports serve at most 2 CPUs")
+    (fun () -> ignore (Cosim.replay ~machine [ s; s; s ]))
 
 (* ---- report renderers ---- *)
 
@@ -522,6 +514,9 @@ let test_extension_reports_render () =
   let p = Macs_report.Tables.parallel_mode () in
   Alcotest.(check bool) "parallel mentions lockstep" true
     (contains ~needle:"lockstep" p);
+  Alcotest.(check bool) "parallel prints the paper's bands" true
+    (contains ~needle:"(paper section 4.2: 5-10%)" p
+    && contains ~needle:"(paper section 4.2: ~20%)" p);
   let d = Macs_report.Tables.stride_sweep () in
   Alcotest.(check bool) "strides mentions 32" true (contains ~needle:"32" d);
   Alcotest.(check bool) "strides mentions MACD" true
@@ -569,11 +564,8 @@ let () =
         [
           Alcotest.test_case "lockstep band" `Quick
             test_parallel_lockstep_band;
-          Alcotest.test_case "different-programs band" `Quick
-            test_parallel_different_band;
           Alcotest.test_case "single cpu free" `Quick
             test_parallel_single_cpu_free;
-          Alcotest.test_case "guards" `Quick test_parallel_guards;
           Alcotest.test_case "slowdowns >= 1" `Quick
             test_parallel_slowdowns_at_least_one;
         ] );
@@ -610,6 +602,7 @@ let () =
           Alcotest.test_case "monotone in cpus" `Quick
             test_cosim_more_cpus_more_contention;
           Alcotest.test_case "guards" `Quick test_cosim_guards;
+          Alcotest.test_case "ports cap" `Quick test_cosim_ports_cap;
         ] );
       ( "reports",
         [

@@ -1,5 +1,5 @@
-(* Tests for convex_memsys: layout, contention model, and the bank-level
-   memory model (conflicts, refresh, port exclusivity). *)
+(* Tests for convex_memsys: layout and the bank-level memory model
+   (conflicts, refresh, port exclusivity). *)
 
 open Convex_machine
 open Convex_memsys
@@ -58,49 +58,6 @@ let test_layout_of_program () =
   let p = Convex_isa.Program.make ~name:"p" body in
   let l = Layout.of_program ~size_words:100 p in
   Alcotest.(check int) "size" 100 (Layout.size_of l "Z")
-
-(* ---- Contention ---- *)
-
-let test_contention_none () =
-  Alcotest.(check (float 1e-9)) "steal 0" 0.0
-    (Contention.steal_probability Contention.none);
-  for c = 0 to 100 do
-    Alcotest.(check bool) "never stolen" false
-      (Contention.sampler Contention.none c)
-  done
-
-let test_contention_load () =
-  Alcotest.(check (float 1e-9)) "load 1 -> none" 0.0
-    (Contention.steal_probability (Contention.of_load_average 1.0));
-  let heavy = Contention.of_load_average 5.1 in
-  let p = Contention.steal_probability heavy in
-  Alcotest.(check bool) "load 5.1 steals 0.3-0.4" true (p > 0.3 && p < 0.4)
-
-let test_contention_deterministic () =
-  let c = Contention.of_steal_probability 0.5 in
-  for cycle = 0 to 50 do
-    Alcotest.(check bool) "repeatable"
-      (Contention.sampler c cycle)
-      (Contention.sampler c cycle)
-  done
-
-let test_contention_rate () =
-  let c = Contention.of_steal_probability 0.3 in
-  let n = 100_000 in
-  let stolen = ref 0 in
-  for cycle = 0 to n - 1 do
-    if Contention.sampler c cycle then incr stolen
-  done;
-  let rate = float_of_int !stolen /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "rate %.3f near 0.3" rate)
-    true
-    (rate > 0.27 && rate < 0.33)
-
-let test_contention_invalid () =
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Contention.of_steal_probability: out of [0;1)")
-    (fun () -> ignore (Contention.of_steal_probability 1.0))
 
 (* ---- Memory ---- *)
 
@@ -483,16 +440,6 @@ let () =
           Alcotest.test_case "word_of" `Quick test_word_of;
           Alcotest.test_case "alias" `Quick test_alias;
           Alcotest.test_case "of_program" `Quick test_layout_of_program;
-        ] );
-      ( "contention",
-        [
-          Alcotest.test_case "none" `Quick test_contention_none;
-          Alcotest.test_case "load mapping" `Quick test_contention_load;
-          Alcotest.test_case "deterministic" `Quick
-            test_contention_deterministic;
-          Alcotest.test_case "empirical rate" `Quick test_contention_rate;
-          Alcotest.test_case "invalid probability" `Quick
-            test_contention_invalid;
         ] );
       ( "memory",
         [

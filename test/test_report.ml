@@ -184,28 +184,25 @@ let test_figure3 () =
   let f = Macs_report.Figures.figure3 (Lazy.force ds) in
   List.iter
     (fun needle -> Alcotest.(check bool) needle true (contains ~needle f))
-    [ "LFK1"; "LFK12"; "MA bound"; "measured multi"; "5.1" ]
+    [
+      "LFK1"; "LFK12"; "MA bound"; "measured multi"; "5.1";
+      (* each derived band beside the paper's value *)
+      "(paper section 4.2: ~20%"; "(paper: 56-64 ns)";
+    ]
 
 let test_figure3_contention_slower () =
-  (* the multi-process series must be slower than single-process for the
-     memory-bound kernels; spot-check via datasets *)
-  let single = Lazy.force ds in
-  let multi =
-    Macs_report.Dataset.compute
-      ~contention:(Convex_memsys.Contention.of_load_average 5.1) ()
-  in
-  let _, _, _, p1 = Macs_report.Dataset.cpf_columns single in
-  let _, _, _, pm = Macs_report.Dataset.cpf_columns multi in
-  (* LFK10 (index 8) is heavily memory bound *)
-  Alcotest.(check bool) "contention slows lfk10" true (pm.(8) > p1.(8));
-  (* and no kernel gets faster under contention *)
+  (* the multi-process series is never faster than single-process, and
+     strictly slower for the heavily memory-bound LFK10 (index 8) *)
+  let ds = Lazy.force ds in
+  let _, _, _, single = Macs_report.Dataset.cpf_columns ds in
+  let multi = Macs_report.Figures.multi_cpf ds in
   Array.iteri
-    (fun i m1 ->
+    (fun i s1 ->
       Alcotest.(check bool)
         (Printf.sprintf "kernel %d not faster" i)
-        true
-        (pm.(i) +. 1e-9 >= m1 *. 0.999))
-    p1
+        true (multi.(i) >= s1))
+    single;
+  Alcotest.(check bool) "contention slows lfk10" true (multi.(8) > single.(8))
 
 let test_dataset_deterministic () =
   (* no hidden global state: two computations agree exactly *)
