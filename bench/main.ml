@@ -1,332 +1,53 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (printing ours-vs-paper values), then times each generator
-   with Bechamel.
+(* The cycle-vs-tiered perf gate.
 
-   One Bechamel test per paper artifact:
-     table1, figure2, table2, table3, table4, table5, figure3,
-     lfk1_example, diagnosis, ablations
-   plus per-stage micro-benchmarks (compile / bound / simulate) that show
-   where the library spends its time.
+   For every Livermore kernel in [Lfk.Kernels.all], simulate the compiled
+   job once per tier to warm up, then take [samples] back-to-back pairs of
+   one cycle run and one tiered run.  A kernel's speedup is the median of
+   its per-pair ratios (the interquartile range rides along as the
+   spread), and the gate is the geometric mean of those medians against
+   [tiered_geomean_floor] in bench/perf_floor.json.  Interleaving puts the
+   two tiers of a pair under the same machine conditions, so drift cancels
+   in the ratio; the median discards the pairs a stolen time slice spoils.
 
-   A separate executor pass times the three campaign front ends (suite,
-   fuzz, chaos) end to end at --jobs 1 vs --jobs N through
-   Convex_exec.Executor and writes the wall-clock numbers, together with
-   the per-stage micro-benchmarks, to BENCH_exec.json.
+   Writes BENCH_vpsim.json and exits 1 below the floor, 2 on a missing or
+   malformed floor.  Takes no arguments; run it from the repository root:
+   dune exec bench/main.exe *)
 
-   Flags: --bench-only skips artifact regeneration; --print-only skips the
-   Bechamel timing pass and the executor pass. *)
+module Json = Convex_serve.Json
+module Stats = Macs_util.Stats
+module Sim = Convex_vpsim.Sim
+open Convex_vpsim.Fastpath
 
-open Bechamel
-open Toolkit
+(* Chosen by spread: over ten interleaved gate runs of each on a 2-core
+   box the geomean ranged 0.37x wide at 15 pairs, 0.28x at 51 and 0.25x
+   at 151.  Past 51 the spread is run-to-run drift that more pairs do
+   not remove, and 151 pairs cost three times as long. *)
+let samples = 51
+let floor_path = "bench/perf_floor.json"
+let floor_key = "tiered_geomean_floor"
 
-(* ------------------------------------------------------------------ *)
-(* Artifact regeneration                                               *)
-(* ------------------------------------------------------------------ *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
 
-let regenerate () =
-  let ds = Macs_report.Dataset.compute () in
-  let sections =
-    [
-      Macs_report.Tables.table1 ();
-      Macs_report.Figures.figure2 ();
-      Macs_report.Tables.table2 ds;
-      Macs_report.Tables.table3 ds;
-      Macs_report.Tables.table4 ds;
-      Macs_report.Tables.table5 ds;
-      Macs_report.Figures.figure3 ds;
-      Macs_report.Tables.lfk1_example ();
-      "Gap diagnosis (paper section 4.4)\n"
-      ^ Macs_report.Tables.diagnosis ds;
-      Macs_report.Tables.ablation_compiler ();
-      Macs_report.Tables.ablation_machine ();
-      Macs_report.Tables.scalar_mode ();
-      Macs_report.Tables.parallel_mode ();
-      Macs_report.Tables.stride_sweep ();
-      Macs_report.Tables.utilization ds;
-      Macs_report.Tables.roofline ();
-      Macs_report.Tables.gallery ();
-      Macs_report.Figures.pipeline_trace ();
-      Macs_report.Tables.hockney ();
-      Macs_report.Tables.design_space ();
-      Macs.Application.render
-        (Macs.Application.analyze
-           [
-             (Lfk.Kernels.find 7, 40.0);
-             (Lfk.Kernels.find 1, 30.0);
-             (Lfk.Kernels.find 10, 20.0);
-             (Lfk.Kernels.find 2, 10.0);
-           ]);
-      Macs_report.Suite.render (Macs_report.Suite.run ());
-      "Goal-directed optimization advice (paper conclusion)\n\n"
-      ^ Macs_report.Tables.advice ();
-    ]
+let read_perf_floor () =
+  let text =
+    try In_channel.with_open_bin floor_path In_channel.input_all
+    with Sys_error e -> die "cannot read the perf floor: %s" e
   in
-  List.iter
-    (fun s ->
-      print_endline s;
-      print_newline ();
-      print_endline (String.make 78 '=');
-      print_newline ())
-    sections
+  match Json.parse text with
+  | Error e -> die "%s: %s" floor_path e
+  | Ok json -> (
+      match Option.bind (Json.mem json floor_key) Json.num with
+      | Some floor -> floor
+      | None -> die "%s: %S is missing or not a number" floor_path floor_key)
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel benchmarks                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The simulation-bound rows below name their tier: the cycle stepper,
-   the tier they have always timed.  Left implicit they would follow the
-   library default, which is now the tiered fast path, and change meaning
-   without a trace in the numbers' history; the tiered pass further down
-   times both tiers side by side. *)
-let cycle = Convex_vpsim.Fastpath.Cycle
-
-let artifact_tests () =
-  (* a dataset computed once, shared by the renderers that take one *)
-  let ds = Macs_report.Dataset.compute () in
-  [
-    Test.make ~name:"table1" (Staged.stage Macs_report.Tables.table1);
-    Test.make ~name:"figure2" (Staged.stage Macs_report.Figures.figure2);
-    Test.make ~name:"table2"
-      (Staged.stage (fun () -> Macs_report.Tables.table2 ds));
-    Test.make ~name:"table3"
-      (Staged.stage (fun () -> Macs_report.Tables.table3 ds));
-    Test.make ~name:"table4"
-      (Staged.stage (fun () -> Macs_report.Tables.table4 ds));
-    Test.make ~name:"table5"
-      (Staged.stage (fun () -> Macs_report.Tables.table5 ds));
-    Test.make ~name:"figure3"
-      (Staged.stage (fun () -> Macs_report.Figures.figure3 ds));
-    Test.make ~name:"lfk1_example"
-      (Staged.stage Macs_report.Tables.lfk1_example);
-    Test.make ~name:"diagnosis"
-      (Staged.stage (fun () -> Macs_report.Tables.diagnosis ds));
-    Test.make ~name:"ablations"
-      (Staged.stage Macs_report.Tables.ablation_compiler);
-    Test.make ~name:"dataset_full"
-      (Staged.stage (fun () ->
-           Macs_report.Dataset.compute ~fidelity:cycle ()));
-    Test.make ~name:"scalar_mode"
-      (Staged.stage Macs_report.Tables.scalar_mode);
-    Test.make ~name:"parallel_mode"
-      (Staged.stage Macs_report.Tables.parallel_mode);
-    Test.make ~name:"stride_sweep"
-      (Staged.stage Macs_report.Tables.stride_sweep);
-    Test.make ~name:"utilization"
-      (Staged.stage (fun () -> Macs_report.Tables.utilization ds));
-    Test.make ~name:"suite"
-      (Staged.stage (fun () -> Macs_report.Suite.run ~fidelity:cycle ()));
-    Test.make ~name:"advice" (Staged.stage Macs_report.Tables.advice);
-    Test.make ~name:"roofline" (Staged.stage Macs_report.Tables.roofline);
-    Test.make ~name:"gallery" (Staged.stage Macs_report.Tables.gallery);
-    Test.make ~name:"pipeline_trace"
-      (Staged.stage (fun () -> Macs_report.Figures.pipeline_trace ()));
-    Test.make ~name:"hockney" (Staged.stage Macs_report.Tables.hockney);
-    Test.make ~name:"design_space"
-      (Staged.stage Macs_report.Tables.design_space);
-    Test.make ~name:"application"
-      (Staged.stage (fun () ->
-           Macs.Application.analyze
-             [ (Lfk.Kernels.find 7, 40.0); (Lfk.Kernels.find 1, 30.0) ]));
-  ]
-
-let stage_tests () =
-  let k1 = Lfk.Kernels.find 1 and k8 = Lfk.Kernels.find 8 in
-  let c1 = Fcc.Compiler.compile k1 and c8 = Fcc.Compiler.compile k8 in
-  let c7 = Fcc.Compiler.compile (Lfk.Kernels.find 7) in
-  (* lfk5 compiles to scalar mode: its run is all scalar unit *)
-  let c5 = Fcc.Compiler.compile (Lfk.Kernels.find 5) in
-  let layout5 = Macs.Hierarchy.layout_of c5 in
-  let machine = Convex_machine.Machine.c240 in
-  let body1 = Convex_isa.Program.body c1.program in
-  let body8 = Convex_isa.Program.body c8.program in
-  [
-    Test.make ~name:"compile_lfk1"
-      (Staged.stage (fun () -> Fcc.Compiler.compile k1));
-    Test.make ~name:"compile_lfk8"
-      (Staged.stage (fun () -> Fcc.Compiler.compile k8));
-    Test.make ~name:"macs_bound_lfk1"
-      (Staged.stage (fun () -> Macs.Macs_bound.compute ~machine body1));
-    Test.make ~name:"macs_bound_lfk8"
-      (Staged.stage (fun () -> Macs.Macs_bound.compute ~machine body8));
-    Test.make ~name:"simulate_lfk1"
-      (Staged.stage (fun () ->
-           Convex_vpsim.Sim.run_exn ~machine ~fidelity:cycle c1.job));
-    Test.make ~name:"simulate_lfk8"
-      (Staged.stage (fun () ->
-           Convex_vpsim.Sim.run_exn ~machine ~fidelity:cycle c8.job));
-    Test.make ~name:"simulate_lfk5"
-      (Staged.stage (fun () ->
-           Convex_vpsim.Sim.run_exn ~machine ~layout:layout5
-             ~fidelity:Convex_vpsim.Fastpath.Tiered c5.job));
-    Test.make ~name:"interp_lfk7"
-      (Staged.stage (fun () -> Fcc.Compiler.run_interp c7));
-    Test.make ~name:"hierarchy_lfk1"
-      (Staged.stage (fun () ->
-           Macs.Hierarchy.of_compiled ~fidelity:cycle c1));
-  ]
-
-let run_benchmarks () =
-  let tests =
-    Test.make_grouped ~name:"macs" ~fmt:"%s/%s"
-      [
-        Test.make_grouped ~name:"artifacts" ~fmt:"%s/%s" (artifact_tests ());
-        Test.make_grouped ~name:"stages" ~fmt:"%s/%s" (stage_tests ());
-      ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some [ e ] -> e
-          | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-  in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  print_endline "Bechamel timings (per run):";
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if ns >= 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
-        else if ns >= 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-        else if ns >= 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-        else Printf.sprintf "%8.2f ns" ns
-      in
-      Printf.printf "  %-40s %s\n" name pretty)
-    rows;
-  rows
-
-(* ------------------------------------------------------------------ *)
-(* Executor scaling pass: suite / fuzz / chaos at --jobs 1 vs --jobs N *)
-(* ------------------------------------------------------------------ *)
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
-let run_suite jobs =
-  match Convex_harness.Supervisor.run ~jobs () with
-  | Ok _ -> ()
-  | Error e -> failwith ("bench suite: " ^ e)
-
-let run_fuzz jobs =
-  let cfg = { Convex_fuzz.Driver.default_config with count = 16; jobs } in
-  ignore (Convex_fuzz.Driver.run cfg)
-
-let run_chaos jobs =
-  let cfg = { Convex_chaos.Campaign.default_config with cells = 8; jobs } in
-  match Convex_chaos.Campaign.run cfg with
-  | Ok _ -> ()
-  | Error e -> failwith ("bench chaos: " ^ e)
-
-let run_exec_bench () =
-  let n = max 2 (Domain.recommended_domain_count ()) in
-  let tasks =
-    [ ("suite", run_suite); ("fuzz", run_fuzz); ("chaos", run_chaos) ]
-  in
-  Printf.printf "\nExecutor scaling (--jobs 1 vs --jobs %d):\n" n;
-  List.concat_map
-    (fun (name, f) ->
-      let t1 = wall (fun () -> f 1) in
-      let tn = wall (fun () -> f n) in
-      Printf.printf "  %-8s jobs=1 %7.3f s   jobs=%d %7.3f s   speedup %.2fx\n"
-        name t1 n tn (t1 /. tn);
-      [ (name, 1, t1); (name, n, tn) ])
-    tasks
-
-(* ------------------------------------------------------------------ *)
-(* Result-cache pass: cold (populate) vs warm (all hits) wall clock    *)
-(* ------------------------------------------------------------------ *)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then (
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path)
-    else Sys.remove path
-
-let run_suite_cached cache =
-  match Convex_harness.Supervisor.run ~cache () with
-  | Ok _ -> ()
-  | Error e -> failwith ("bench suite/cache: " ^ e)
-
-let run_fuzz_cached cache =
-  let cfg =
-    { Convex_fuzz.Driver.default_config with count = 16; cache = Some cache }
-  in
-  ignore (Convex_fuzz.Driver.run cfg)
-
-let run_chaos_cached cache =
-  let cfg =
-    { Convex_chaos.Campaign.default_config with cells = 8; cache = Some cache }
-  in
-  match Convex_chaos.Campaign.run cfg with
-  | Ok _ -> ()
-  | Error e -> failwith ("bench chaos/cache: " ^ e)
-
-let run_cache_bench () =
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "macs-bench-cache.%d" (Unix.getpid ()))
-  in
-  let tasks =
-    [
-      ("suite", run_suite_cached);
-      ("fuzz", run_fuzz_cached);
-      ("chaos", run_chaos_cached);
-    ]
-  in
-  Printf.printf "\nResult cache (cold populate vs warm re-run):\n";
-  let rows =
-    List.concat_map
-      (fun (name, f) ->
-        let dir = Filename.concat root name in
-        let cold = wall (fun () -> f dir) in
-        let warm = wall (fun () -> f dir) in
-        Printf.printf
-          "  %-8s cold %7.3f s   warm %7.3f s   speedup %.2fx\n" name cold
-          warm (cold /. warm);
-        [ (name, "cold", cold); (name, "warm", warm) ])
-      tasks
-  in
-  rm_rf root;
-  rows
-
-(* ------------------------------------------------------------------ *)
-(* Tiered-fidelity pass: cycle vs tiered simulation, per LFK kernel    *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall clock per simulation: one warm-up run, then repeat until the
-   quota elapses.  Coarse but stable enough for an order-of-magnitude
-   regression gate — the two fidelities are timed back to back on the
-   same compiled kernel, so systematic noise mostly cancels in the
-   ratio. *)
-let time_per_run f =
-  f ();
-  let t0 = Unix.gettimeofday () in
-  let n = ref 0 in
-  while Unix.gettimeofday () -. t0 < 0.2 do
-    f ();
-    incr n
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int !n
-
-(* A bank-conflict-heavy kernel the fast path must refuse: stride 32
-   folds every access onto one bank, so tiered falls back to cycle
-   stepping throughout.  Reported separately (excluded from the geomean)
-   to record the worst-case overhead of attempting-and-rejecting
-   leaps. *)
+(* A bank-conflict-heavy kernel: stride 32 folds every access onto one
+   bank.  Reported beside the suite but kept out of the geomean, to record
+   what attempting leaps costs on the worst stream. *)
 let adversarial_job =
   let v = Convex_isa.Reg.v in
   let m array offset stride : Convex_isa.Instr.mem =
@@ -343,146 +64,94 @@ let adversarial_job =
     ~segments:[ Convex_vpsim.Job.segment 1024 ]
     ()
 
-let perf_floor_path = "bench/perf_floor.json"
+type row = {
+  name : string;
+  cycle_s : float;  (** median seconds per cycle-tier run *)
+  tiered_s : float;  (** median seconds per tiered run *)
+  speedup : float;  (** median of the per-pair cycle/tiered ratios *)
+  iqr : float;  (** interquartile range of those ratios *)
+  ns_per_elem : float;  (** [tiered_s] per simulated element, in ns *)
+}
 
-(* the committed floor: the CI perf gate fails when the tiered geomean
-   speedup over the Livermore suite drops below it *)
-let read_perf_floor () =
-  if not (Sys.file_exists perf_floor_path) then None
-  else
-    let ic = open_in perf_floor_path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    let key = "\"tiered_geomean_floor\"" in
-    let rec find i =
-      if i + String.length key > String.length s then None
-      else if String.sub s i (String.length key) = key then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some i -> (
-        match String.index_from_opt s i ':' with
-        | None -> None
-        | Some j -> (
-            try
-              Some
-                (Scanf.sscanf
-                   (String.sub s (j + 1) (String.length s - j - 1))
-                   " %f" Fun.id)
-            with Scanf.Scan_failure _ | Failure _ | End_of_file -> None))
+let measure name ?layout job =
+  let sim fidelity = Sim.run_exn ?layout ~fidelity job in
+  let time fidelity =
+    let t0 = Unix.gettimeofday () in
+    ignore (sim fidelity);
+    Unix.gettimeofday () -. t0
+  in
+  ignore (sim Cycle);
+  let elements = (sim Tiered).Sim.stats.elements in
+  let pairs = Array.init samples (fun _ -> (time Cycle, time Tiered)) in
+  let ratios = Array.map (fun (c, t) -> c /. t) pairs in
+  let tiered_s = Stats.median (Array.map snd pairs) in
+  let row =
+    {
+      name;
+      cycle_s = Stats.median (Array.map fst pairs);
+      tiered_s;
+      speedup = Stats.median ratios;
+      iqr = Stats.percentile 75.0 ratios -. Stats.percentile 25.0 ratios;
+      ns_per_elem = tiered_s *. 1e9 /. float_of_int elements;
+    }
+  in
+  Printf.printf
+    "  %-11s cycle %7.3f ms  tiered %7.3f ms  %6.1f ns/elem  speedup %6.2fx \
+     (IQR %.2f)\n%!"
+    name (row.cycle_s *. 1e3) (tiered_s *. 1e3) row.ns_per_elem row.speedup
+    row.iqr;
+  row
 
-let run_vpsim_bench () =
-  let time_fidelity ~layout ~fidelity job =
-    time_per_run (fun () ->
-        ignore (Convex_vpsim.Sim.run_exn ?layout ~fidelity job))
+let write_json path ~rows ~geomean ~floor =
+  let json_row r =
+    Printf.sprintf
+      "    { \"kernel\": %S, \"cycle_s\": %.6f, \"tiered_s\": %.6f, \
+       \"tiered_ns_per_elem\": %.1f, \"speedup\": %.3f, \"speedup_iqr\": \
+       %.3f }"
+      r.name r.cycle_s r.tiered_s r.ns_per_elem r.speedup r.iqr
   in
-  let row name ~layout job =
-    let cycle_s =
-      time_fidelity ~layout ~fidelity:Convex_vpsim.Fastpath.Cycle job
-    in
-    let tiered_s =
-      time_fidelity ~layout ~fidelity:Convex_vpsim.Fastpath.Tiered job
-    in
-    let speedup = cycle_s /. tiered_s in
-    Printf.printf "  %-14s cycle %8.3f ms   tiered %8.3f ms   speedup %6.2fx\n%!"
-      name (cycle_s *. 1e3) (tiered_s *. 1e3) speedup;
-    (name, cycle_s, tiered_s, speedup)
-  in
-  Printf.printf "\nTiered fidelity (cycle vs tiered simulation):\n";
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc
+        "{\n\
+        \  \"schema\": \"macs-bench-vpsim/2\",\n\
+        \  \"samples\": %d,\n\
+        \  \"geomean_speedup\": %.3f,\n\
+        \  \"floor\": %.3f,\n\
+        \  \"kernels\": [\n\
+         %s\n\
+        \  ]\n\
+         }\n"
+        samples geomean floor
+        (String.concat ",\n" (List.map json_row rows)));
+  Printf.printf "wrote %s\n" path
+
+let () =
+  if Array.length Sys.argv > 1 then
+    die "takes no arguments (got %s)" Sys.argv.(1);
+  let floor = read_perf_floor () in
+  Printf.printf
+    "Tiered fidelity: median cycle/tiered ratio of %d interleaved pairs\n"
+    samples;
   let kernel_rows =
     List.map
       (fun (k : Lfk.Kernel.t) ->
         let c = Fcc.Compiler.compile k in
-        row k.name ~layout:(Some (Macs.Hierarchy.layout_of c))
-          c.Fcc.Compiler.job)
+        measure k.name ~layout:(Macs.Hierarchy.layout_of c) c.job)
       Lfk.Kernels.all
   in
-  let adversarial_row = row "bank-storm" ~layout:None adversarial_job in
+  let storm = measure "bank-storm" adversarial_job in
   let geomean =
-    exp
-      (List.fold_left (fun a (_, _, _, s) -> a +. log s) 0.0 kernel_rows
-      /. float_of_int (List.length kernel_rows))
+    Stats.geometric_mean
+      (Array.of_list (List.map (fun r -> r.speedup) kernel_rows))
   in
-  Printf.printf "  %-14s geomean speedup %.2fx (adversarial excluded)\n"
+  Printf.printf "  %-11s geomean speedup %.2fx (bank-storm excluded)\n"
     "livermore" geomean;
-  (kernel_rows @ [ adversarial_row ], geomean)
-
-let write_vpsim_json path ~rows ~geomean ~floor =
-  let oc = open_out path in
-  let json_row (name, cycle_s, tiered_s, speedup) =
-    Printf.sprintf
-      "    { \"kernel\": %S, \"cycle_s\": %.6f, \"tiered_s\": %.6f, \
-       \"speedup\": %.3f }"
-      name cycle_s tiered_s speedup
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"macs-bench-vpsim/1\",\n\
-    \  \"geomean_speedup\": %.3f,\n\
-    \  \"floor\": %s,\n\
-    \  \"kernels\": [\n%s\n  ]\n\
-     }\n"
-    geomean
-    (match floor with Some f -> Printf.sprintf "%.3f" f | None -> "null")
-    (String.concat ",\n" (List.map json_row rows));
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-let run_vpsim_pass () =
-  let rows, geomean = run_vpsim_bench () in
-  let floor = read_perf_floor () in
-  write_vpsim_json "BENCH_vpsim.json" ~rows ~geomean ~floor;
-  match floor with
-  | None ->
-      Printf.printf "no %s: perf gate skipped\n" perf_floor_path
-  | Some f when geomean < f ->
-      Printf.printf
-        "PERF REGRESSION: tiered geomean %.2fx below committed floor %.2fx\n"
-        geomean f;
-      exit 1
-  | Some f ->
-      Printf.printf "perf gate: geomean %.2fx >= floor %.2fx\n" geomean f
-
-let write_bench_json path ~stage_rows ~exec_rows ~cache_rows =
-  let oc = open_out path in
-  let json_row (name, jobs, s) =
-    Printf.sprintf "    { \"task\": %S, \"jobs\": %d, \"wall_s\": %.6f }" name
-      jobs s
-  in
-  let json_stage (name, ns) =
-    Printf.sprintf "    { \"name\": %S, \"ns_per_run\": %.3f }" name ns
-  in
-  let json_cache (name, phase, s) =
-    Printf.sprintf "    { \"task\": %S, \"phase\": %S, \"wall_s\": %.6f }"
-      name phase s
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"macs-bench-exec/2\",\n\
-    \  \"exec\": [\n%s\n  ],\n\
-    \  \"cache\": [\n%s\n  ],\n\
-    \  \"stages\": [\n%s\n  ]\n\
-     }\n"
-    (String.concat ",\n" (List.map json_row exec_rows))
-    (String.concat ",\n" (List.map json_cache cache_rows))
-    (String.concat ",\n" (List.map json_stage stage_rows));
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-let () =
-  let bench_only = Array.exists (fun a -> a = "--bench-only") Sys.argv in
-  let print_only = Array.exists (fun a -> a = "--print-only") Sys.argv in
-  let vpsim_only = Array.exists (fun a -> a = "--vpsim-only") Sys.argv in
-  if vpsim_only then run_vpsim_pass ()
-  else begin
-    if not bench_only then regenerate ();
-    if not print_only then begin
-      let stage_rows = run_benchmarks () in
-      let exec_rows = run_exec_bench () in
-      let cache_rows = run_cache_bench () in
-      write_bench_json "BENCH_exec.json" ~stage_rows ~exec_rows ~cache_rows;
-      run_vpsim_pass ()
-    end
-  end
+  write_json "BENCH_vpsim.json" ~rows:(kernel_rows @ [ storm ]) ~geomean
+    ~floor;
+  if geomean < floor then begin
+    Printf.printf
+      "PERF REGRESSION: tiered geomean %.2fx below committed floor %.2fx\n"
+      geomean floor;
+    exit 1
+  end;
+  Printf.printf "perf gate: geomean %.2fx >= floor %.2fx\n" geomean floor

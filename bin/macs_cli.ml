@@ -357,47 +357,39 @@ let example_cmd =
     Term.(const run $ const ())
 
 let extensions_cmd =
+  let sections =
+    Macs_report.Tables.
+      [
+        ("scalar", scalar_mode);
+        ("parallel", parallel_mode);
+        ("strides", stride_sweep);
+        ("roofline", roofline);
+        ("hockney", hockney);
+        ("gallery", gallery);
+        ("design-space", design_space);
+        ("application", application);
+      ]
+  in
   let which =
     Arg.(
       value & pos 0 string "all"
-      & info [] ~docv:"EXT" ~doc:"scalar, parallel, strides, roofline, hockney, gallery, design-space, application, or all.")
+      & info [] ~docv:"EXT"
+          ~doc:(String.concat ", " (List.map fst sections) ^ ", or all."))
   in
   let run which =
-    (match which with
-    | "scalar" -> print_endline (Macs_report.Tables.scalar_mode ())
-    | "parallel" -> print_endline (Macs_report.Tables.parallel_mode ())
-    | "strides" -> print_endline (Macs_report.Tables.stride_sweep ())
-    | "roofline" -> print_endline (Macs_report.Tables.roofline ())
-    | "hockney" -> print_endline (Macs_report.Tables.hockney ())
-    | "design-space" -> print_endline (Macs_report.Tables.design_space ())
-    | "application" ->
-        print_string
-          (Macs.Application.render
-             (Macs.Application.analyze
-                [
-                  (Lfk.Kernels.find 7, 40.0);
-                  (Lfk.Kernels.find 1, 30.0);
-                  (Lfk.Kernels.find 10, 20.0);
-                  (Lfk.Kernels.find 2, 10.0);
-                ]))
-    | "gallery" -> print_endline (Macs_report.Tables.gallery ())
+    match which with
     | "all" ->
         List.iter
-          (fun section ->
+          (fun (_, section) ->
             print_endline (section ());
             print_newline ())
-          [
-            Macs_report.Tables.scalar_mode;
-            Macs_report.Tables.parallel_mode;
-            Macs_report.Tables.stride_sweep;
-            Macs_report.Tables.roofline;
-            Macs_report.Tables.hockney;
-            Macs_report.Tables.gallery;
-            Macs_report.Tables.design_space;
-          ]
-    | other ->
-        prerr_endline (Printf.sprintf "unknown extension %S" other);
-        exit 1)
+          sections
+    | name -> (
+        match List.assoc_opt name sections with
+        | Some section -> print_endline (section ())
+        | None ->
+            prerr_endline (Printf.sprintf "unknown extension %S" name);
+            exit 1)
   in
   Cmd.v
     (Cmd.info "extensions"

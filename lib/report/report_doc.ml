@@ -20,6 +20,7 @@ let sections () =
     ("Extension — Hockney characterization", Tables.hockney ());
     ("Extension — design space", Tables.design_space ());
     ("Extension — kernel gallery", Tables.gallery ());
+    ("Extension — application profile", Tables.application ());
     ("Pipeline trace (LFK1)", Figures.pipeline_trace ());
     ("Livermore suite", Suite.render (Suite.run ()));
     ("Goal-directed advice", Tables.advice ());
@@ -29,8 +30,7 @@ let to_markdown () =
   let buf = Buffer.create (1 lsl 16) in
   Buffer.add_string buf
     "# MACS reproduction — generated results\n\n\
-     Regenerate with `dune exec bench/main.exe` or \
-     `dune exec bin/macs_cli.exe -- report`.\n";
+     Regenerate with `dune exec bin/macs_cli.exe -- report`.\n";
   List.iter
     (fun (title, body) ->
       Buffer.add_string buf (Printf.sprintf "\n## %s\n\n```\n" title);

@@ -580,3 +580,14 @@ let design_space () =
      elements:\n%s\n\nsustained stream rate (accesses/cycle) vs bank \
      count - doubling banks doubles the tolerable stride:\n%s"
     (Table.render t) (Table.render bt)
+
+let application () =
+  let mix = [ (7, 40.0); (1, 30.0); (10, 20.0); (2, 10.0) ] in
+  let report =
+    Macs.Application.render
+      (Macs.Application.analyze
+         (List.map (fun (k, w) -> (Lfk.Kernels.find k, w)) mix))
+  in
+  (* [render] ends its last line; here the printer does, as for the
+     other tables *)
+  String.sub report 0 (String.length report - 1)

@@ -77,3 +77,8 @@ val hockney : unit -> string
 val design_space : unit -> string
 (** Hardware design-space sweep: measured CPF vs maximum vector length,
     and sustained stream rate vs bank count. *)
+
+val application : unit -> string
+(** The application profile of the example mix LFK 7/1/10/2 weighted
+    40/30/20/10: aggregate MFLOPS, per-kernel shares and the advice
+    ranked by total time saved.  No trailing newline. *)

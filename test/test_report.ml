@@ -221,6 +221,9 @@ let test_dataset_deterministic () =
 let test_report_doc () =
   let sections = Macs_report.Report_doc.sections () in
   Alcotest.(check bool) "20+ sections" true (List.length sections >= 20);
+  Alcotest.(check (option string))
+    "application section" (Some (Macs_report.Tables.application ()))
+    (List.assoc_opt "Extension — application profile" sections);
   let md = Macs_report.Report_doc.to_markdown () in
   Alcotest.(check bool) "has headings" true (contains ~needle:"## Table 4" md);
   (* every fenced block is closed *)
