@@ -31,12 +31,24 @@ let suggestion ~action ~target ~basis ~baseline ~projected =
     gain = (baseline -. projected) /. baseline;
   }
 
-let vector_advice ?watchdog ?fidelity ~machine (k : Lfk.Kernel.t) =
-  let baseline = Hierarchy.analyze ?watchdog ?fidelity ~machine k in
-  let base_cpf = Hierarchy.t_p_cpf baseline in
-  let measured ~action ~target h =
-    suggestion ~action ~target ~basis:Measured ~baseline:base_cpf
-      ~projected:(Hierarchy.t_p_cpf h)
+(* t_p of a compiled kernel over the layout Hierarchy.of_compiled gives
+   it (so a memo shares it with hierarchy and simulate items): the one
+   measurement a suggestion reads *)
+let t_p_cpf ?watchdog ?fidelity ?memo ~machine (c : Fcc.Compiler.t) =
+  (Convex_vpsim.Measure.run_exn ~machine ~layout:(Hierarchy.layout_of c)
+     ?watchdog ?fidelity ?memo ~flops_per_iteration:c.flops_per_iteration
+     c.job)
+    .Convex_vpsim.Measure.cpf
+
+let vector_advice ?watchdog ?fidelity ?memo ~machine ~opt (k : Lfk.Kernel.t)
+    =
+  let c = Fcc.Compiler.compile ~opt k in
+  let measure ?(machine = machine) c =
+    t_p_cpf ?watchdog ?fidelity ?memo ~machine c
+  in
+  let base_cpf = measure c in
+  let measured ~action ~target projected =
+    suggestion ~action ~target ~basis:Measured ~baseline:base_cpf ~projected
   in
   let candidates =
     [
@@ -45,40 +57,31 @@ let vector_advice ?watchdog ?fidelity ~machine (k : Lfk.Kernel.t) =
           "keep shifted reuse streams in registers instead of reloading \
            (ideal compiler reuse)"
         ~target:Compiler
-        (Hierarchy.analyze ?watchdog ?fidelity ~machine
-           ~opt:Fcc.Opt_level.ideal k);
+        (measure (Fcc.Compiler.compile ~opt:Fcc.Opt_level.ideal k));
       measured
         ~action:
           "re-schedule the loop body with a chime-aware list scheduler \
            (packed)"
         ~target:Compiler
-        (Hierarchy.analyze ?watchdog ?fidelity ~machine
-           ~opt:Fcc.Opt_level.packed k);
+        (measure (Fcc.Compiler.compile ~opt:Fcc.Opt_level.packed k));
       measured
         ~action:"eliminate tailgate bubbles (perfect pipe hand-off)"
         ~target:Machine_hw
-        (Hierarchy.analyze ?watchdog ?fidelity
-           ~machine:(Machine.no_bubbles machine)
-           k);
+        (measure ~machine:(Machine.no_bubbles machine) c);
       measured
         ~action:"hide the memory refresh (static RAM or refresh-free banks)"
         ~target:Machine_hw
-        (Hierarchy.analyze ?watchdog ?fidelity
-           ~machine:(Machine.no_refresh machine)
-           k);
+        (measure ~machine:(Machine.no_refresh machine) c);
       measured
         ~action:"add a second load/store pipe"
         ~target:Machine_hw
-        (Hierarchy.analyze ?watchdog ?fidelity
-           ~machine:(Machine.dual_load_store machine)
-           k);
+        (measure ~machine:(Machine.dual_load_store machine) c);
     ]
   in
   (* spill elimination: cannot be applied with eight s-registers, so
      project it at the bound level by deleting the per-iteration scalar
      reloads from the schedule *)
   let spill_projection =
-    let c = Fcc.Compiler.compile k in
     if c.spilled_scalars = [] then []
     else
       let body = Convex_isa.Program.body c.program in
@@ -106,13 +109,10 @@ let vector_advice ?watchdog ?fidelity ~machine (k : Lfk.Kernel.t) =
   in
   candidates @ spill_projection
 
-let scalar_advice ?watchdog ?fidelity ~machine (k : Lfk.Kernel.t) =
+let scalar_advice ?watchdog ?fidelity ?memo ~machine ~opt (k : Lfk.Kernel.t)
+    =
   (* the only lever for a carried recurrence is algorithmic *)
-  let c = Fcc.Compiler.compile k in
-  let m =
-    Convex_vpsim.Measure.run_exn ?watchdog ?fidelity ~machine
-      ~flops_per_iteration:c.flops_per_iteration c.job
-  in
+  let c = Fcc.Compiler.compile ~opt k in
   let bound = Scalar_bound.of_compiled c in
   [
     suggestion
@@ -121,18 +121,18 @@ let scalar_advice ?watchdog ?fidelity ~machine (k : Lfk.Kernel.t) =
          expose vector parallelism; the dependence pseudo-unit, not a \
          resource, is the bottleneck"
       ~target:Application ~basis:Bound_projection
-      ~baseline:m.Convex_vpsim.Measure.cpf
+      ~baseline:(t_p_cpf ?watchdog ?fidelity ?memo ~machine c)
       ~projected:
         (Float.max bound.Scalar_bound.memory bound.Scalar_bound.fp
         /. float_of_int (Lfk.Kernel.flops k));
   ]
 
-let advise ?(machine = Machine.c240) ?(threshold = 0.01) ?watchdog ?fidelity
-    k =
+let advise ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
+    ?(threshold = 0.01) ?watchdog ?fidelity ?memo k =
   let all =
     if Fcc.Vectorizer.vectorizable k then
-      vector_advice ?watchdog ?fidelity ~machine k
-    else scalar_advice ?watchdog ?fidelity ~machine k
+      vector_advice ?watchdog ?fidelity ?memo ~machine ~opt k
+    else scalar_advice ?watchdog ?fidelity ?memo ~machine ~opt k
   in
   all
   |> List.filter (fun s -> s.gain > threshold)

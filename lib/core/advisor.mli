@@ -28,20 +28,28 @@ type suggestion = {
 
 val advise :
   ?machine:Machine.t ->
+  ?opt:Fcc.Opt_level.t ->
   ?threshold:float ->
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
   ?fidelity:Convex_vpsim.Fastpath.fidelity ->
+  ?memo:Convex_vpsim.Measure.Memo.t ->
   Lfk.Kernel.t ->
   suggestion list
 (** Suggestions with gain above [threshold] (default 0.01), sorted by
     gain, largest first.  The list is empty when the kernel already runs
-    within [threshold] of every evaluated alternative.  [watchdog] is
-    threaded into every candidate re-measurement (the advisor simulates
-    each applicable change); a firing watchdog raises
-    {!Macs_util.Macs_error.Error}, which deadline-bounded callers catch
-    and degrade.  [fidelity] selects the simulator tier of every
-    re-measurement exactly as in {!Hierarchy.analyze} (default tiered);
-    both tiers give identical suggestions. *)
+    within [threshold] of every evaluated alternative.  [opt] is the
+    baseline code level (default {!Fcc.Opt_level.v61}): the baseline
+    and the hardware candidates are compiled at it, the compiler
+    candidates at their own level.  Each candidate costs one simulation,
+    its t_p over {!Hierarchy.layout_of} ({!Hierarchy.t_p_cpf} of the
+    full hierarchy, without the t_a and t_x a suggestion never reads).
+    [watchdog] is threaded into every candidate re-measurement; a firing
+    watchdog raises {!Macs_util.Macs_error.Error}, which deadline-bounded
+    callers catch and degrade.  [fidelity] selects the simulator tier of
+    every re-measurement exactly as in {!Hierarchy.analyze} (default
+    tiered); both tiers give identical suggestions.  [memo] answers
+    re-measurements already taken ({!Convex_vpsim.Measure.Memo}); the
+    suggestions are the same with or without it. *)
 
 val report : ?machine:Machine.t -> Lfk.Kernel.t -> string
 (** Human-readable ranked advice, one line per suggestion. *)

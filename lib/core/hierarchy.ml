@@ -31,7 +31,7 @@ let layout_of (c : Fcc.Compiler.t) =
     aliases;
   layout
 
-let of_compiled ?(machine = Machine.c240) ?watchdog ?fidelity
+let of_compiled ?(machine = Machine.c240) ?watchdog ?fidelity ?memo
     (c : Fcc.Compiler.t) =
   let kernel = c.kernel in
   let flops = c.flops_per_iteration in
@@ -43,7 +43,7 @@ let of_compiled ?(machine = Machine.c240) ?watchdog ?fidelity
   let t_macs_m = Macs_bound.m_only ~machine body in
   let layout = layout_of c in
   let measure job =
-    Measure.run_exn ~machine ~layout ?watchdog ?fidelity
+    Measure.run_exn ~machine ~layout ?watchdog ?fidelity ?memo
       ~flops_per_iteration:flops job
   in
   let t_p = measure c.job in
@@ -66,8 +66,9 @@ let of_compiled ?(machine = Machine.c240) ?watchdog ?fidelity
     t_x;
   }
 
-let analyze ?machine ?watchdog ?fidelity ?opt kernel =
-  of_compiled ?machine ?watchdog ?fidelity (Fcc.Compiler.compile ?opt kernel)
+let analyze ?machine ?watchdog ?fidelity ?memo ?opt kernel =
+  of_compiled ?machine ?watchdog ?fidelity ?memo
+    (Fcc.Compiler.compile ?opt kernel)
 
 let cpf_of_cpl t cpl = Units.cpf_of_cpl ~cpl ~flops:t.flops
 let t_ma_cpf t = cpf_of_cpl t t.t_ma

@@ -42,6 +42,7 @@ val analyze :
   ?machine:Machine.t ->
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
   ?fidelity:Convex_vpsim.Fastpath.fidelity ->
+  ?memo:Measure.Memo.t ->
   ?opt:Fcc.Opt_level.t ->
   Lfk.Kernel.t ->
   t
@@ -53,12 +54,15 @@ val analyze :
     {!Convex_vpsim.Sim.run}; a firing watchdog raises
     {!Macs_util.Macs_error.Error} (conventionally [Budget_exceeded]),
     which deadline-bounded callers catch and degrade to an
-    {!Estimate}-tier answer. *)
+    {!Estimate}-tier answer.  [memo] answers measurements already taken
+    with the same inputs ({!Convex_vpsim.Measure.Memo}); the result is
+    the same with or without it. *)
 
 val of_compiled :
   ?machine:Machine.t ->
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
   ?fidelity:Convex_vpsim.Fastpath.fidelity ->
+  ?memo:Measure.Memo.t ->
   Fcc.Compiler.t ->
   t
 (** Same, for an already-compiled kernel. *)

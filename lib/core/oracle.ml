@@ -213,7 +213,7 @@ type report = {
 }
 
 let validate ?(tol = default_tol) ?(opt = Fcc.Opt_level.v61)
-    ?(machine = Machine.c240) ?faults ?watchdog ?fidelity () =
+    ?(machine = Machine.c240) ?faults ?watchdog ?fidelity ?memo () =
   let kernels =
     List.sort (fun (a : Lfk.Kernel.t) b -> compare a.id b.id) Lfk.Kernels.all
   in
@@ -231,7 +231,7 @@ let validate ?(tol = default_tol) ?(opt = Fcc.Opt_level.v61)
         in
         match
           check_hierarchy ~tol
-            (Hierarchy.analyze ~machine ?watchdog:wd ?fidelity ~opt k)
+            (Hierarchy.analyze ~machine ?watchdog:wd ?fidelity ?memo ~opt k)
           @ check_opt_monotonicity ~tol ~machine k
         with
         | vs -> vs

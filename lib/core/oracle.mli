@@ -92,6 +92,7 @@ val validate :
   ?watchdog:
     (site:string -> (cycle:float -> Macs_util.Macs_error.t option) option) ->
   ?fidelity:Convex_vpsim.Fastpath.fidelity ->
+  ?memo:Convex_vpsim.Measure.Memo.t ->
   unit ->
   report
 (** Check every vectorizable kernel's hierarchy and schedule monotonicity
@@ -102,7 +103,9 @@ val validate :
     naming the kernel, conventionally wrapping
     [Convex_harness.Budget.watchdog]); a kernel whose measurement is
     cancelled lands in [skipped] with its typed diagnostic instead of
-    aborting the validation. *)
+    aborting the validation.  [memo] is threaded into every hierarchy
+    measurement ({!Hierarchy.analyze}); the report is the same with or
+    without it. *)
 
 val render : report -> string
 val pp_violation : Format.formatter -> violation -> unit

@@ -39,6 +39,11 @@ let base_of t name = fst (lookup t name)
 let size_of t name = snd (lookup t name)
 let arrays t = t.order
 
+let bindings t =
+  Hashtbl.fold (fun name (base, size) acc -> (name, base, size) :: acc)
+    t.table []
+  |> List.sort compare
+
 let word_of t (m : Instr.mem) ~base_index ~element =
   base_of t m.array + m.offset + ((base_index + element) * m.stride)
 

@@ -32,6 +32,11 @@ val base_of : t -> string -> int
 val size_of : t -> string -> int
 val arrays : t -> string list
 
+val bindings : t -> (string * int * int) list
+(** Every placed name, aliases included, with its base and size, sorted
+    by name: the layout's canonical form, equal for layouts that place
+    every name alike. *)
+
 val word_of : t -> Instr.mem -> base_index:int -> element:int -> int
 (** Word address of element [element] of a strip whose first iteration has
     loop index [base_index]: [base + offset + (base_index + element) *

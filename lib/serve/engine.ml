@@ -30,12 +30,12 @@ let estimate_fields (est : Macs.Estimate.t) e =
     ("degraded", Json.Str (E.to_string e));
   ]
 
-let simulate ?watchdog (it : Protocol.item) k =
+let simulate ?watchdog ?memo (it : Protocol.item) k =
   let c = Fcc.Compiler.compile ~opt:it.opt k in
   let layout = Macs.Hierarchy.layout_of c in
   match
     Convex_vpsim.Measure.run ~machine:it.machine ~layout ~faults:it.faults
-      ?watchdog ~fidelity:it.fidelity
+      ?watchdog ~fidelity:it.fidelity ?memo
       ~flops_per_iteration:c.Fcc.Compiler.flops_per_iteration
       c.Fcc.Compiler.job
   with
@@ -62,7 +62,7 @@ let simulate ?watchdog (it : Protocol.item) k =
       ok (base it @ estimate_fields (Macs.Estimate.of_compiled ~machine:it.machine c) e)
   | Error e -> item_err (base it) (Protocol.of_macs_error e)
 
-let hierarchy ?watchdog (it : Protocol.item) k =
+let hierarchy ?watchdog ?memo (it : Protocol.item) k =
   if not (Fcc.Vectorizer.vectorizable k) then
     item_err (base it)
       (Protocol.perror ~kind:"bad-request"
@@ -77,7 +77,7 @@ let hierarchy ?watchdog (it : Protocol.item) k =
     let c = Fcc.Compiler.compile ~opt:it.opt k in
     match
       Macs.Hierarchy.of_compiled ~machine:it.machine ?watchdog
-        ~fidelity:it.fidelity c
+        ~fidelity:it.fidelity ?memo c
     with
     | h ->
         let issues = Macs.Diagnose.diagnose h in
@@ -113,14 +113,14 @@ let hierarchy ?watchdog (it : Protocol.item) k =
           )
     | exception E.Error e -> item_err (base it) (Protocol.of_macs_error e)
 
-let validate ?watchdog (it : Protocol.item) =
+let validate ?watchdog ?memo (it : Protocol.item) =
   let faults =
     if Convex_fault.Fault.is_none it.faults then None else Some it.faults
   in
   let wd = Option.map (fun w ~site:_ -> Some w) watchdog in
   let r =
     Macs.Oracle.validate ?tol:it.tol ~opt:it.opt ~machine:it.machine ?faults
-      ?watchdog:wd ~fidelity:it.fidelity ()
+      ?watchdog:wd ~fidelity:it.fidelity ?memo ()
   in
   ok
     (base it
@@ -150,15 +150,17 @@ let validate ?watchdog (it : Protocol.item) =
                r.Macs.Oracle.skipped) );
       ])
 
-let advise ?watchdog (it : Protocol.item) k =
+let advise ?watchdog ?memo (it : Protocol.item) k =
   if not (Convex_fault.Fault.is_none it.faults) then
     item_err (base it)
       (Protocol.perror ~kind:"bad-request"
          "advise evaluates candidate improvements on the healthy machine; \
           drop \"faults\"")
   else
-    match Macs.Advisor.advise ~machine:it.machine ?watchdog
-        ~fidelity:it.fidelity k with
+    match
+      Macs.Advisor.advise ~machine:it.machine ~opt:it.opt ?watchdog
+        ~fidelity:it.fidelity ?memo k
+    with
     | suggestions ->
         ok
           (base it
@@ -189,15 +191,15 @@ let advise ?watchdog (it : Protocol.item) k =
           @ [ ("suggestions", Json.Arr []) ])
     | exception E.Error e -> item_err (base it) (Protocol.of_macs_error e)
 
-let eval_item ?watchdog = function
+let eval_item ?watchdog ?memo = function
   | Error e -> item_err [] e
   | Ok (it : Protocol.item) -> (
       match
         match (it.op, it.kernel) with
-        | Protocol.Validate, _ -> validate ?watchdog it
-        | Protocol.Simulate, Some k -> simulate ?watchdog it k
-        | Protocol.Hierarchy, Some k -> hierarchy ?watchdog it k
-        | Protocol.Advise, Some k -> advise ?watchdog it k
+        | Protocol.Validate, _ -> validate ?watchdog ?memo it
+        | Protocol.Simulate, Some k -> simulate ?watchdog ?memo it k
+        | Protocol.Hierarchy, Some k -> hierarchy ?watchdog ?memo it k
+        | Protocol.Advise, Some k -> advise ?watchdog ?memo it k
         | (Protocol.Simulate | Protocol.Hierarchy | Protocol.Advise), None ->
             (* unreachable: decode_item rejects these *)
             item_err (base it)

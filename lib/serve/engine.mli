@@ -17,8 +17,12 @@
 
 val eval_item :
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
+  ?memo:Convex_vpsim.Measure.Memo.t ->
   (Protocol.item, Protocol.perror) result ->
   Json.t
 (** Evaluate one decoded batch item (or embed its decode error).  The
     result object always carries [ok] — plus [op], [kernel] and
-    [machine] when known — and either data fields or [error]. *)
+    [machine] when known — and either data fields or [error].  [memo]
+    is threaded into every measurement the item takes
+    ({!Convex_vpsim.Measure.Memo}); the reply is byte-identical with or
+    without it. *)

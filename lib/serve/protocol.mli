@@ -26,7 +26,11 @@ open Convex_machine
     "machine": <machine spec>, "faults": <fault spec>,
     "fidelity": "cycle" | "tiered", "opt": <opt level>,
     "tol": <number>}] — everything but ["op"] optional ([validate]
-    needs no kernel; the machine defaults to [c240]).
+    needs no kernel; the machine defaults to [c240]).  ["opt"] (default
+    [v61]) is the code level every op answers for: [simulate] and
+    [hierarchy] compile at it, [validate] checks it, and [advise] takes
+    it as the baseline its candidates are measured against — the same
+    level its budget-degraded estimate is computed at.
 
     {2 Reply frames}
 

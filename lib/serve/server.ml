@@ -42,6 +42,8 @@ type t = {
   config : config;
   session : Session.t option;
   cache : Convex_cache.Cache.t option;
+  memo : Convex_vpsim.Measure.Memo.t;
+      (** measurements shared by every item this server evaluates *)
   mutex : Mutex.t;  (** guards the counters *)
   mutable counters : stats;
   mutable stop : bool;
@@ -67,6 +69,7 @@ let create (config : config) =
           config;
           session;
           cache = Option.map Convex_cache.Cache.open_dir config.cache_dir;
+          memo = Convex_vpsim.Measure.Memo.create ();
           mutex = Mutex.create ();
           counters =
             {
@@ -146,8 +149,17 @@ let stats_json t =
               ] );
         ]
   in
+  let memo =
+    let m = Convex_vpsim.Measure.Memo.counters t.memo in
+    Json.Obj
+      [
+        ("hits", int m.Convex_vpsim.Measure.Memo.hits);
+        ("misses", int m.Convex_vpsim.Measure.Memo.misses);
+        ("entries", int m.Convex_vpsim.Measure.Memo.entries);
+      ]
+  in
   let extra = match t.stats_extra with None -> [] | Some f -> f () in
-  Json.Obj ((("server", server) :: cache) @ extra)
+  Json.Obj ((("server", server) :: cache) @ (("memo", memo) :: extra))
 
 (* ------------------------------------------------------------------ *)
 
@@ -242,7 +254,9 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~items =
     | None -> 0
   in
   let eval i =
-    let line = Json.to_string (Engine.eval_item ?watchdog items.(i)) in
+    let line =
+      Json.to_string (Engine.eval_item ?watchdog ~memo:t.memo items.(i))
+    in
     (match t.session with
     | Some s -> Session.record_item s ~key ~index:i line
     | None -> ());

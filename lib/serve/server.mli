@@ -20,7 +20,14 @@
     - {b Crash-safe resume.}  Batch items journal as they complete; a
       server killed mid-batch and restarted on the same session file
       recomputes only the missing items and never re-executes completed
-      work. *)
+      work.
+    - {b Each measurement simulated once.}  Every server owns one
+      {!Convex_vpsim.Measure.Memo}, shared by every item of every frame
+      and connection: a [validate], [hierarchy], [simulate] or [advise]
+      item whose measurements an earlier item already took answers them
+      from memory, with the bytes a fresh server would reply.  The memo
+      lives in memory only; replies, the journal and the reply cache
+      never see it. *)
 
 type config = {
   jobs : int;  (** worker domains per batch (via {!Convex_exec.Executor}) *)
@@ -57,9 +64,13 @@ type stats = {
 val stats : t -> stats
 
 val stats_json : t -> Json.t
-(** Server counters plus cache counters (when a cache is attached) plus
-    any {!set_stats_extra} sections, as one JSON object — the body of
-    the [stats] control reply. *)
+(** Server counters, cache counters (when a cache is attached), the
+    measurement memo's ["memo": {"hits", "misses", "entries"}]
+    ({!Convex_vpsim.Measure.Memo.counters}), then any
+    {!set_stats_extra} sections, as one JSON object — the body of the
+    [stats] control reply.  Only this reply carries the memo counters:
+    item and frame replies never do, and the journal never records
+    them. *)
 
 val set_stats_extra : t -> (unit -> (string * Json.t) list) -> unit
 (** Register extra top-level sections for {!stats_json} (the connection

@@ -277,6 +277,126 @@ let test_server_budget_degrades () =
     (get_str [ "degraded" ] (first_result j) <> None);
   Alcotest.(check int) "degraded counter" 1 (Server.stats s).Server.degraded
 
+(* ---- measurement memo ---- *)
+
+let memo_counters s =
+  let j = reply_json s {|{"id":"st","op":"stats"}|} in
+  let n f =
+    match Option.bind (get [ "stats"; "memo"; f ] j) Json.int with
+    | Some n -> n
+    | None -> Alcotest.failf "stats has no memo.%s" f
+  in
+  (n "hits", n "misses", n "entries")
+
+let frame_of id body = Printf.sprintf {|{"id":"%s",%s}|} id body
+
+(* [warm] then [body] through one server; the reply to [body] must be a
+   fresh server's bytes and must have been answered from the memo *)
+let check_warm_equals_cold ?(warm_hits = true) name ~warm body =
+  let cold =
+    Server.handle_line (create_ok Server.default_config) (frame_of "x" body)
+  in
+  let s = create_ok Server.default_config in
+  ignore (Server.handle_line s (frame_of "warm" warm));
+  let hits0, _, _ = memo_counters s in
+  let reply = Server.handle_line s (frame_of "x" body) in
+  let hits1, _, _ = memo_counters s in
+  Alcotest.(check string) (name ^ ": warm == cold") cold reply;
+  Alcotest.(check bool) (name ^ ": memo hit") warm_hits (hits1 > hits0);
+  reply
+
+let test_memo_warm_equals_cold () =
+  List.iter
+    (fun (name, warm, body) ->
+      ignore (check_warm_equals_cold name ~warm body))
+    [
+      ( "simulate with a fault plan",
+        {|"op":"simulate","kernel":7,"faults":"seed=3; jitter=12"|},
+        {|"op":"simulate","kernel":7,"faults":"seed=3; jitter=12"|} );
+      ( "hierarchy at cycle fidelity",
+        {|"op":"hierarchy","kernel":3,"fidelity":"cycle"|},
+        {|"op":"hierarchy","kernel":3,"fidelity":"cycle"|} );
+      ("validate", {|"op":"validate"|}, {|"op":"validate"|});
+      ("advise", {|"op":"advise","kernel":1|}, {|"op":"advise","kernel":1|});
+      ( "simulate after hierarchy (shared t_p)",
+        {|"op":"hierarchy","kernel":9,"machine":"no-bubbles"|},
+        {|"op":"simulate","kernel":9,"machine":"no-bubbles"|} );
+    ]
+
+(* the watchdog recheck: a budget the memoised measurement would have
+   blown degrades with the cold server's exact diagnostic; one it fits
+   in is answered from the memo *)
+let test_memo_budget_degrades () =
+  List.iter
+    (fun body ->
+      let reply =
+        check_warm_equals_cold ~warm_hits:false body ~warm:body
+          ({|"budget_cycles":100,|} ^ body)
+      in
+      Alcotest.(check (option string)) (body ^ ": estimate tier")
+        (Some "estimate")
+        (get_str [ "tier" ] (first_result (parse_ok reply)));
+      let reply =
+        check_warm_equals_cold body ~warm:body
+          ({|"budget_cycles":1e9,|} ^ body)
+      in
+      Alcotest.(check (option string)) (body ^ ": full tier") (Some "full")
+        (get_str [ "tier" ] (first_result (parse_ok reply))))
+    [ {|"op":"simulate","kernel":7|}; {|"op":"hierarchy","kernel":3|} ]
+
+(* every input the wire can vary keys its own measurement *)
+let test_memo_key_sensitivity () =
+  let s = create_ok Server.default_config in
+  let base = {|"op":"simulate","kernel":1|} in
+  ignore (Server.handle_line s (frame_of "base" base));
+  List.iteri
+    (fun i variant ->
+      ignore
+        (Server.handle_line s
+           (frame_of (string_of_int i) (base ^ "," ^ variant)));
+      let hits, misses, _ = memo_counters s in
+      Alcotest.(check (pair int int)) (variant ^ " misses") (0, i + 2)
+        (hits, misses))
+    [
+      {|"machine":"c240;refresh=none"|};
+      {|"fidelity":"cycle"|};
+      {|"faults":"seed=3; jitter=12"|};
+      {|"opt":"ideal"|};
+    ];
+  ignore (Server.handle_line s (frame_of "again" base));
+  let hits, _, entries = memo_counters s in
+  Alcotest.(check (pair int int)) "base hits; five entries" (1, 5)
+    (hits, entries)
+
+(* the baseline of advise is the item's opt, like its degraded estimate *)
+let test_advise_honours_opt () =
+  let s = create_ok Server.default_config in
+  let result line = first_result (reply_json s line) in
+  let simulate_cpf opt =
+    Option.bind
+      (get [ "cpf" ]
+         (result
+            (Printf.sprintf {|{"id":"s","op":"simulate","kernel":12,"opt":"%s"}|}
+               opt)))
+      Json.num
+  in
+  let suggestions =
+    Option.value ~default:[]
+      (Option.bind
+         (get [ "suggestions" ]
+            (result {|{"id":"a","op":"advise","kernel":12,"opt":"ideal"}|}))
+         Json.arr)
+  in
+  Alcotest.(check bool) "has suggestions" true (suggestions <> []);
+  Alcotest.(check bool) "ideal and v61 differ" true
+    (simulate_cpf "ideal" <> simulate_cpf "v61");
+  List.iter
+    (fun sug ->
+      Alcotest.(check (option (float 0.0))) "baseline is the ideal code"
+        (simulate_cpf "ideal")
+        (Option.bind (get [ "baseline_cpf" ] sug) Json.num))
+    suggestions
+
 let test_server_typed_errors () =
   let s = create_ok { Server.default_config with Server.max_batch = 2 } in
   let kind_of line =
@@ -896,6 +1016,14 @@ let () =
           Alcotest.test_case "simulate" `Quick test_server_simulate;
           Alcotest.test_case "advise fidelity" `Quick
             test_server_advise_fidelity;
+          Alcotest.test_case "memo warm == cold" `Quick
+            test_memo_warm_equals_cold;
+          Alcotest.test_case "memo budget degrades" `Quick
+            test_memo_budget_degrades;
+          Alcotest.test_case "memo key sensitivity" `Quick
+            test_memo_key_sensitivity;
+          Alcotest.test_case "advise honours opt" `Quick
+            test_advise_honours_opt;
           Alcotest.test_case "budget degrades" `Quick
             test_server_budget_degrades;
           Alcotest.test_case "typed errors" `Quick test_server_typed_errors;

@@ -478,6 +478,116 @@ let test_measure_guard () =
     (Invalid_argument "Measure.run: nonpositive flops_per_iteration")
     (fun () -> ignore (Measure.run_exn ~flops_per_iteration:0 j))
 
+(* ---- Measure.Memo ---- *)
+
+let lfk n = Lfk.Kernels.find n
+
+let memo_counters memo =
+  let c = Measure.Memo.counters memo in
+  Measure.Memo.(c.hits, c.misses, c.entries)
+
+(* one memo, one base measurement of LFK1; every variant changes one
+   input and must simulate afresh, while spelling a default out (no
+   plan = Fault.none, no guard = Sim.default_guard, no fidelity =
+   Tiered) must not *)
+let test_memo_key_sensitivity () =
+  let memo = Measure.Memo.create () in
+  let measure ?(machine = Machine.c240) ?faults ?guard ?fidelity
+      ?(opt = Fcc.Opt_level.v61) () =
+    let c = Fcc.Compiler.compile ~opt (lfk 1) in
+    let run memo =
+      Measure.run_exn ~machine ~layout:(Macs.Hierarchy.layout_of c) ?faults
+        ?guard ?fidelity ?memo ~flops_per_iteration:c.flops_per_iteration
+        c.job
+    in
+    let m = run (Some memo) in
+    Alcotest.(check (float 0.0)) "memoised == fresh" (run None).Measure.cycles
+      m.Measure.cycles
+  in
+  let expect name ~hits ~misses =
+    let h, m, _ = memo_counters memo in
+    Alcotest.(check (pair int int)) name (hits, misses) (h, m)
+  in
+  measure ();
+  expect "base misses" ~hits:0 ~misses:1;
+  let refresh_none =
+    Result.get_ok (Convex_dsl.Machine_dsl.parse "c240;refresh=none")
+  in
+  let variants =
+    [
+      ("c240;refresh=none", fun () -> measure ~machine:refresh_none ());
+      ("cycle fidelity", fun () -> measure ~fidelity:Fastpath.Cycle ());
+      ( "fault plan",
+        fun () ->
+          measure
+            ~faults:(Result.get_ok (Convex_fault.Fault.parse "seed=3; jitter=12"))
+            () );
+      ("ideal code", fun () -> measure ~opt:Fcc.Opt_level.ideal ());
+      ("guard 50000", fun () -> measure ~guard:50_000 ());
+      ("guard 60000", fun () -> measure ~guard:60_000 ());
+    ]
+  in
+  List.iteri
+    (fun i (name, f) ->
+      f ();
+      expect (name ^ " misses") ~hits:0 ~misses:(i + 2))
+    variants;
+  (* each variant was stored under its own key *)
+  List.iteri
+    (fun i (name, f) ->
+      f ();
+      expect (name ^ " hits again") ~hits:(i + 1) ~misses:7)
+    variants;
+  measure ~faults:Convex_fault.Fault.none ~guard:Sim.default_guard
+    ~fidelity:Fastpath.Tiered ();
+  expect "defaults spelled out hit" ~hits:7 ~misses:7
+
+(* clear-on-full: the table never holds more than [capacity] entries *)
+let test_memo_bounded () =
+  let memo = Measure.Memo.create () in
+  let peak = ref 0 in
+  for i = 0 to Measure.Memo.capacity + 10 do
+    let job =
+      Job.make ~name:"b"
+        ~body:[ Instr.Vld { dst = v 0; src = mem "A" 0 1 } ]
+        ~segments:[ Job.segment ~base:i 1 ] ()
+    in
+    ignore (Measure.run_exn ~memo ~flops_per_iteration:1 job);
+    let _, _, entries = memo_counters memo in
+    Alcotest.(check bool) "entries <= capacity" true
+      (entries <= Measure.Memo.capacity);
+    peak := max !peak entries
+  done;
+  Alcotest.(check int) "filled to capacity" Measure.Memo.capacity !peak
+
+(* a budget the memoised run would have blown cancels exactly as a fresh
+   run does; one it fits in is answered from the memo *)
+let test_memo_watchdog_recheck () =
+  let memo = Measure.Memo.create () in
+  let j =
+    Job.make ~name:"m" ~body:fig2_chained ~segments:[ Job.segment 128 ] ()
+  in
+  let run ?memo cap =
+    Measure.run ?memo
+      ?watchdog:
+        (Convex_harness.Budget.watchdog ~site:"t"
+           (Convex_harness.Budget.make ~max_cycles:cap ()))
+      ~flops_per_iteration:2 j
+  in
+  let m = Measure.run_exn ~memo ~flops_per_iteration:2 j in
+  let show = function
+    | Ok (m : Measure.t) -> Printf.sprintf "ok %h" m.cycles
+    | Error e -> Macs_util.Macs_error.to_string e
+  in
+  List.iter
+    (fun cap ->
+      Alcotest.(check string)
+        (Printf.sprintf "cap %g" cap)
+        (show (run cap)) (show (run ~memo cap)))
+    [ 10.0; m.Measure.cycles -. 1.0; m.Measure.cycles; 1e9 ];
+  let hits, _, _ = memo_counters memo in
+  Alcotest.(check int) "only the caps it fits in hit" 2 hits
+
 (* ---- tiered fidelity: bit-identical to the cycle stepper ---- *)
 
 let plan spec =
@@ -787,6 +897,11 @@ let () =
         [
           Alcotest.test_case "units" `Quick test_measure;
           Alcotest.test_case "guard" `Quick test_measure_guard;
+          Alcotest.test_case "memo key sensitivity" `Quick
+            test_memo_key_sensitivity;
+          Alcotest.test_case "memo bounded" `Quick test_memo_bounded;
+          Alcotest.test_case "memo watchdog recheck" `Quick
+            test_memo_watchdog_recheck;
         ] );
       ("properties", qcheck_tests);
     ]
