@@ -6,24 +6,21 @@ open Cmdliner
 
 (* Machine arguments accept the full Machine_dsl grammar, so presets and
    what-if overrides ("c240;banks=64;pipes.mul=2") share one converter. *)
-let machine_of_name = Convex_dsl.Machine_dsl.of_name_or_spec
-
-let opt_of_name = function
-  | "v61" -> Ok Fcc.Opt_level.v61
-  | "ideal" -> Ok Fcc.Opt_level.ideal
-  | "loads-first" -> Ok Fcc.Opt_level.loads_first
-  | "packed" -> Ok Fcc.Opt_level.packed
-  | s -> Error (Printf.sprintf "unknown optimization level %S" s)
-
 let machine_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (machine_of_name s) in
+  let parse s =
+    Result.map_error (fun e -> `Msg e)
+      (Convex_dsl.Machine_dsl.of_name_or_spec s)
+  in
   let print fmt (m : Convex_machine.Machine.t) =
     Format.fprintf fmt "%s" m.name
   in
   Arg.conv (parse, print)
 
 let opt_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (opt_of_name s) in
+  let parse s =
+    Option.to_result (Fcc.Opt_level.of_name s)
+      ~none:(`Msg (Printf.sprintf "unknown optimization level %S" s))
+  in
   let print fmt o = Format.fprintf fmt "%s" (Fcc.Opt_level.name o) in
   Arg.conv (parse, print)
 
@@ -42,7 +39,10 @@ let opt_arg =
     value
     & opt opt_conv Fcc.Opt_level.v61
     & info [ "opt" ] ~docv:"LEVEL"
-        ~doc:"Compiler level: v61 (default), ideal, loads-first, packed.")
+        ~doc:
+          ("Compiler level: "
+          ^ String.concat ", " (List.map Fcc.Opt_level.name Fcc.Opt_level.all)
+          ^ "."))
 
 let fault_conv =
   let parse s =
@@ -162,7 +162,7 @@ let analyze_cmd =
         else begin
           (* loop-carried: scalar mode, scalar bounds *)
           let c = Fcc.Compiler.compile ~opt k in
-          let b = Macs.Scalar_bound.of_compiled c in
+          let b = Macs.Scalar_bound.of_compiled ~machine c in
           let m =
             Convex_vpsim.Measure.run_exn ~machine
               ~flops_per_iteration:c.flops_per_iteration c.job
@@ -295,18 +295,13 @@ let simulate_cmd =
     List.iter
       (fun k ->
         let c = Fcc.Compiler.compile k in
-        let guard =
-          if Convex_fault.Fault.is_none faults then
-            Convex_vpsim.Sim.default_guard
-          else 50_000
-        in
         (* one watchdog per run: a reused closure would carry the previous
            kernel's wall-clock start time *)
         let watchdog =
           Convex_harness.Budget.watchdog ~site:("simulate:" ^ k.name) budget
         in
         match
-          Convex_vpsim.Sim.run ~machine ~faults ~guard ?watchdog ~trace
+          Convex_vpsim.Sim.run ~machine ~faults ?watchdog ~trace
             ~fidelity c.job
         with
         | Error (Macs_util.Macs_error.Budget_exceeded _ as e) ->
@@ -549,23 +544,6 @@ let suite_cmd =
             "Re-run only the journal rows that carry diagnostics (failed \
              or estimated), keeping every measured row.  Implies --resume.")
   in
-  let budget_cycles =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "budget" ] ~docv:"CYCLES"
-          ~doc:
-            "Watchdog cap on simulated cycles per kernel run; an \
-             over-budget kernel degrades to its analytic estimate.")
-  in
-  let budget_wall =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "budget-wall" ] ~docv:"SECONDS"
-          ~doc:
-            "Watchdog cap on host wall-clock seconds per kernel run.")
-  in
   let run machine opt faults journal resume retry_failed cycles wall jobs
       cache no_cache fidelity stats_json =
     let budget =
@@ -610,8 +588,8 @@ let suite_cmd =
          "Run the full Livermore suite (10 vector + 2 scalar kernels) with           output verification, supervised: watchdog budgets, journal           checkpoint/resume, graceful degradation to analytic estimates")
     Term.(
       const run $ machine_arg $ opt_arg $ faults_arg $ journal $ resume
-      $ retry_failed $ budget_cycles $ budget_wall $ jobs_arg $ cache_arg
-      $ no_cache_arg $ fidelity_arg $ stats_json_arg)
+      $ retry_failed $ budget_cycles_arg $ budget_wall_arg $ jobs_arg
+      $ cache_arg $ no_cache_arg $ fidelity_arg $ stats_json_arg)
 
 let resilience_cmd =
   let plans =
@@ -707,18 +685,6 @@ let fuzz_cmd =
       & info [ "count" ] ~docv:"N"
           ~doc:"Number of generated cases (default 500).")
   in
-  let machine_name =
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map (fun n -> (n, n)) Convex_machine.Machine.preset_names))
-          "c240"
-      & info [ "machine" ] ~docv:"MACHINE"
-          ~doc:
-            (Printf.sprintf "Machine preset: %s."
-               (String.concat ", " Convex_machine.Machine.preset_names)))
-  in
   let budget =
     Arg.(
       value
@@ -763,15 +729,13 @@ let fuzz_cmd =
            ^ " Repeatable; defaults to every stock preset.  Each kernel \
               case samples one plan, rotating."))
   in
-  let run seed count machine_name budget sim_budget corpus no_sim plans jobs
-      cache no_cache fidelity stats_json =
-    let machine = Result.get_ok (machine_of_name machine_name) in
+  let run seed count machine budget sim_budget corpus no_sim plans jobs cache
+      no_cache fidelity stats_json =
     let cfg =
       {
         Convex_fuzz.Driver.seed;
         count;
         machine;
-        machine_name;
         max_wall_s = budget;
         budget = Convex_harness.Budget.make ~max_wall_s:sim_budget ();
         corpus;
@@ -806,7 +770,7 @@ let fuzz_cmd =
           shrunk to minimal cases and optionally persisted to a replay \
           corpus; exits non-zero on any violation")
     Term.(
-      const run $ seed $ count $ machine_name $ budget $ sim_budget $ corpus
+      const run $ seed $ count $ machine_arg $ budget $ sim_budget $ corpus
       $ no_sim $ plans $ jobs_arg $ cache_arg $ no_cache_arg $ fidelity_arg
       $ stats_json_arg)
 
@@ -821,18 +785,6 @@ let chaos_cmd =
       value & opt int 24
       & info [ "cells" ] ~docv:"K"
           ~doc:"Number of campaign cells (default 24).")
-  in
-  let machine_name =
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map (fun n -> (n, n)) Convex_machine.Machine.preset_names))
-          "c240"
-      & info [ "machine" ] ~docv:"MACHINE"
-          ~doc:
-            (Printf.sprintf "Machine preset: %s."
-               (String.concat ", " Convex_machine.Machine.preset_names)))
   in
   let journal =
     Arg.(
@@ -869,9 +821,8 @@ let chaos_cmd =
              the cell is quarantined as a poison record and the campaign \
              degrades to fewer workers instead of aborting.")
   in
-  let run seed cells machine_name journal resume budget jobs kill_cells cache
+  let run seed cells machine journal resume budget jobs kill_cells cache
       no_cache fidelity stats_json =
-    let machine = Result.get_ok (machine_of_name machine_name) in
     if resume && journal = None then (
       prerr_endline "macs_cli chaos: --resume needs --journal";
       exit 2);
@@ -881,7 +832,6 @@ let chaos_cmd =
         seed;
         cells;
         machine;
-        machine_name;
         journal;
         resume;
         jobs;
@@ -920,7 +870,7 @@ let chaos_cmd =
           are delta-debugged to a minimal fault plan; exits non-zero on any \
           violation")
     Term.(
-      const run $ seed $ cells $ machine_name $ journal $ resume $ budget
+      const run $ seed $ cells $ machine_arg $ journal $ resume $ budget
       $ jobs_arg $ kill_cells $ cache_arg $ no_cache_arg $ fidelity_arg
       $ stats_json_arg)
 

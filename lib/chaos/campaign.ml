@@ -14,12 +14,10 @@ type config = {
   seed : int;
   cells : int;
   machine : Machine.t;
-  machine_name : string;
   opt : Fcc.Opt_level.t;
   budget : Budget.t;
       (** per-cell watchdog; keep it to cycles for a byte-identical
           journal — wall-clock budgets trade determinism for safety *)
-  guard : int;
   journal : string option;
   resume : bool;
   max_shrink_steps : int;
@@ -30,7 +28,7 @@ type config = {
           journaled config, like [budget] *)
   cache : string option;
       (** content-addressed result cache directory; keyed on the cell's
-          (kernel, plan, machine, opt, guard, budget, shrink cap) — not
+          (kernel, plan, machine, opt, budget, shrink cap) — not
           on seed or index, so any campaign sharing the cache reuses
           matching cells *)
   fidelity : Convex_vpsim.Fastpath.fidelity;
@@ -44,10 +42,8 @@ let default_config =
     seed = 42;
     cells = 24;
     machine = Machine.c240;
-    machine_name = "c240";
     opt = Fcc.Opt_level.v61;
     budget = Budget.none;
-    guard = Suite.faulted_guard;
     journal = None;
     resume = false;
     max_shrink_steps = 200;
@@ -125,7 +121,7 @@ let run_cell cfg (cell : cell) =
   let check plan =
     let watchdog = Budget.watchdog ~site cfg.budget in
     Slo.check_cell ?watchdog ~fidelity:cfg.fidelity ~machine:cfg.machine
-      ~opt:cfg.opt ~guard:cfg.guard plan cell.kernel
+      ~opt:cfg.opt plan cell.kernel
   in
   let outcome = check cell.plan in
   match outcome.Slo.verdict with
@@ -173,7 +169,6 @@ let config_fields cfg =
     ("seed", Journal.put_int cfg.seed);
     ("cells", Journal.put_int cfg.cells);
     ("opt", Fcc.Opt_level.name cfg.opt);
-    ("guard", Journal.put_int cfg.guard);
     ("shrink", Journal.put_int cfg.max_shrink_steps);
   ]
 
@@ -282,7 +277,6 @@ let spec cfg =
         let cell = cell_of_index cfg i in
         [
           ("opt", Fcc.Opt_level.name cfg.opt);
-          ("guard", Journal.put_int cfg.guard);
           ("budget", Budget.to_string cfg.budget);
           ("shrink", Journal.put_int cfg.max_shrink_steps);
           ("kernel", Durable.value_digest cell.kernel);
@@ -415,10 +409,9 @@ let render t =
   let viols = violations t in
   Buffer.add_string buf
     (Printf.sprintf
-       "Chaos campaign: seed %d, %d cells on %s (opt %s, guard %d)\n"
-       t.config.seed t.config.cells t.config.machine_name
-       (Fcc.Opt_level.name t.config.opt)
-       t.config.guard);
+       "Chaos campaign: seed %d, %d cells on %s (opt %s)\n"
+       t.config.seed t.config.cells t.config.machine.Machine.name
+       (Fcc.Opt_level.name t.config.opt));
   let quarantine_note =
     match t.quarantined with
     | [] -> ""

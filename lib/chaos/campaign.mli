@@ -22,15 +22,14 @@ type config = {
   seed : int;
   cells : int;
   machine : Machine.t;
-  machine_name : string;
-      (** display name for {!render}; journals and cache keys identify
-          the machine by {!Machine.digest} *)
+      (** any {!Convex_dsl.Machine_dsl} machine; {!render} prints its
+          display name, journals and cache keys identify it by
+          {!Machine.digest} *)
   opt : Fcc.Opt_level.t;
   budget : Convex_harness.Budget.t;
       (** per-cell watchdog.  Keep it to [max_cycles] when the journal
           must be byte-identical across runs: wall-clock budgets can
           fire at different points on different hosts. *)
-  guard : int;  (** simulator progress guard per cell *)
   journal : string option;
   resume : bool;
   max_shrink_steps : int;
@@ -48,7 +47,7 @@ type config = {
   cache : string option;
       (** content-addressed result cache ({!Convex_cache.Cache}): each
           cell's verdict is memoised under a key of (machine digest, opt,
-          guard, budget, shrink cap, kernel, plan) — deliberately not
+          budget, shrink cap, kernel, plan) — deliberately not
           seed or index, so any campaign sharing the cache directory
           reuses matching cells.  Journals stay byte-identical between
           cold and warm runs. *)
@@ -60,9 +59,9 @@ type config = {
 }
 
 val default_config : config
-(** seed 42, 24 cells, healthy c240 at v61, no budget,
-    {!Macs_report.Suite.faulted_guard}, no journal, one worker, no
-    injected kills, no cache, tiered fidelity. *)
+(** seed 42, 24 cells, healthy c240 at v61, no budget, no journal, one
+    worker, no injected kills, no cache, tiered fidelity.  Every cell
+    simulates under {!Convex_vpsim.Sim.guard_for} of its plan. *)
 
 type cell = { index : int; kernel : Lfk.Kernel.t; plan : Fault.t }
 
@@ -123,7 +122,7 @@ val run : ?progress:(int -> unit) -> config -> (t, string) result
     With [resume] and an existing file, shards left by a killed parallel
     run are merged back first ({!Macs_util.Journal.merge_shards}), the
     journal replayed — refusing a config mismatch (machine digest,
-    seed, cells, opt, guard or shrink cap; the message names each
+    seed, cells, opt or shrink cap; the message names each
     differing field) or a record that disagrees with the regenerated
     cell — and only the missing cells run.  The plumbing is
     {!Convex_exec.Durable}.  [progress] is called with each freshly executed cell index.

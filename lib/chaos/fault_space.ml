@@ -12,7 +12,7 @@ let pick rand xs = List.nth xs (Random.State.int rand (List.length xs))
 let range rand lo hi = lo + Random.State.int rand (hi - lo)
 
 (* Bounds chosen so a transient plan always fits comfortably inside the
-   faulted progress guard (Suite.faulted_guard = 50k spins): the recovery
+   faulted progress guard (Sim.guard_for a plan = 50k spins): the recovery
    probe must be able to sit out the whole window and still finish. *)
 let max_window_close = 2_000
 

@@ -33,14 +33,14 @@ let probe_job n =
    extra tail elements run at the healthy rate, so the two overheads
    agree up to tolerance.  A fault that persists past its window makes
    the overhead grow with the tail and is caught here. *)
-let recovery_check ?fidelity ~machine ~guard plan =
+let recovery_check ?fidelity ~machine plan =
   match plan.Fault.window with
   | None -> None
   | Some w ->
       let n_short = w.Fault.closes + 512 in
       let n_long = n_short + 1024 in
       let run ?faults n =
-        Sim.run ~machine ?faults ~guard ?fidelity (probe_job n)
+        Sim.run ~machine ?faults ?fidelity (probe_job n)
       in
       let cycles (r : Sim.result) = r.Sim.stats.Sim.cycles in
       (match (run n_short, run n_long) with
@@ -76,10 +76,9 @@ let recovery_check ?fidelity ~machine ~guard plan =
                      })
               else None))
 
-let check_cell ?watchdog ?fidelity ~machine ~opt ~guard plan kernel =
+let check_cell ?watchdog ?fidelity ~machine ~opt plan kernel =
   match
-    Suite.run_kernel ?watchdog ?fidelity ~machine ~opt ~faults:plan ~guard
-      kernel
+    Suite.run_kernel ?watchdog ?fidelity ~machine ~opt ~faults:plan kernel
   with
   | exception Macs_error.Error e ->
       {
@@ -146,6 +145,6 @@ let check_cell ?watchdog ?fidelity ~machine ~opt ~guard plan kernel =
                       cpl;
                     }
                 | [] -> (
-                    match recovery_check ?fidelity ~machine ~guard plan with
+                    match recovery_check ?fidelity ~machine plan with
                     | Some verdict -> { verdict; cpl }
                     | None -> { verdict = Pass; cpl }))))

@@ -35,7 +35,6 @@ val probe_tol : float
 val recovery_check :
   ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   machine:Machine.t ->
-  guard:int ->
   Fault.t ->
   verdict option
 (** [None] for plans without a transient window, or when the windowed
@@ -47,7 +46,6 @@ val check_cell :
   ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   machine:Machine.t ->
   opt:Fcc.Opt_level.t ->
-  guard:int ->
   Fault.t ->
   Lfk.Kernel.t ->
   outcome

@@ -31,13 +31,12 @@ let suggestion ~action ~target ~basis ~baseline ~projected =
     gain = (baseline -. projected) /. baseline;
   }
 
-(* t_p of a compiled kernel over the layout Hierarchy.of_compiled gives
-   it (so a memo shares it with hierarchy and simulate items): the one
+(* t_p of a compiled kernel, the same measurement Hierarchy.of_compiled
+   takes (so a memo shares it with hierarchy and simulate items): the one
    measurement a suggestion reads *)
 let t_p_cpf ?watchdog ?fidelity ?memo ~machine (c : Fcc.Compiler.t) =
-  (Convex_vpsim.Measure.run_exn ~machine ~layout:(Hierarchy.layout_of c)
-     ?watchdog ?fidelity ?memo ~flops_per_iteration:c.flops_per_iteration
-     c.job)
+  (Convex_vpsim.Measure.run_exn ~machine ?watchdog ?fidelity ?memo
+     ~flops_per_iteration:c.flops_per_iteration c.job)
     .Convex_vpsim.Measure.cpf
 
 let vector_advice ?watchdog ?fidelity ?memo ~machine ~opt (k : Lfk.Kernel.t)
@@ -113,7 +112,7 @@ let scalar_advice ?watchdog ?fidelity ?memo ~machine ~opt (k : Lfk.Kernel.t)
     =
   (* the only lever for a carried recurrence is algorithmic *)
   let c = Fcc.Compiler.compile ~opt k in
-  let bound = Scalar_bound.of_compiled c in
+  let bound = Scalar_bound.of_compiled ~machine c in
   [
     suggestion
       ~action:

@@ -41,7 +41,7 @@ val advise :
     baseline code level (default {!Fcc.Opt_level.v61}): the baseline
     and the hardware candidates are compiled at it, the compiler
     candidates at their own level.  Each candidate costs one simulation,
-    its t_p over {!Hierarchy.layout_of} ({!Hierarchy.t_p_cpf} of the
+    its t_p over the job's own layout ({!Hierarchy.t_p_cpf} of the
     full hierarchy, without the t_a and t_x a suggestion never reads).
     [watchdog] is threaded into every candidate re-measurement; a firing
     watchdog raises {!Macs_util.Macs_error.Error}, which deadline-bounded

@@ -1,5 +1,4 @@
 open Convex_machine
-open Convex_memsys
 open Convex_vpsim
 
 type t = {
@@ -19,17 +18,7 @@ type t = {
   t_x : Measure.t;
 }
 
-(* Place arrays for the simulator from the compiler's storage list;
-   names bound to the same storage (LFK2's XS, LFK6's WS) get the same
-   base so bank behaviour and memory RAW dependences see through the
-   alias. *)
-let layout_of (c : Fcc.Compiler.t) =
-  let arrays, aliases = Fcc.Compiler.storage c in
-  let layout = Layout.build arrays in
-  List.iter
-    (fun (name, target) -> Layout.alias layout ~existing:target name)
-    aliases;
-  layout
+let layout_of (c : Fcc.Compiler.t) = Job.layout c.job
 
 let of_compiled ?(machine = Machine.c240) ?watchdog ?fidelity ?memo
     (c : Fcc.Compiler.t) =
@@ -41,9 +30,8 @@ let of_compiled ?(machine = Machine.c240) ?watchdog ?fidelity ?memo
   let t_macs = Macs_bound.compute ~machine body in
   let t_macs_f = Macs_bound.f_only ~machine body in
   let t_macs_m = Macs_bound.m_only ~machine body in
-  let layout = layout_of c in
   let measure job =
-    Measure.run_exn ~machine ~layout ?watchdog ?fidelity ?memo
+    Measure.run_exn ~machine ?watchdog ?fidelity ?memo
       ~flops_per_iteration:flops job
   in
   let t_p = measure c.job in

@@ -6,7 +6,9 @@ open Convex_vpsim
     (paper Figure 1): MA and MAC bounds from workload counts, the MACS
     bound and its f-only / m-only components from the compiled schedule,
     and simulator measurements of the full code (t_p), the A-process (t_a)
-    and the X-process (t_x).
+    and the X-process (t_x).  All three run over the compiled job's own
+    layout ({!Convex_vpsim.Job.layout}): the A- and X-processes are copies
+    of the job, so they inherit its storage, and no caller chooses it.
 
     Intended for kernels that vectorize; a kernel that falls back to
     scalar mode gets a degenerate (zero) MACS bound here — analyze those
@@ -33,10 +35,12 @@ type t = {
 }
 
 val layout_of : Fcc.Compiler.t -> Layout.t
-(** Memory layout for simulating a compilation result: every array of
+(** The layout every measurement of a compilation result runs over:
+    {!Convex_vpsim.Job.layout} of its job, i.e. every array of
     {!Fcc.Compiler.storage} placed in order, aliased names (LFK2's XS,
-    LFK6's WS) sharing their target's base so bank behaviour and memory
-    dependences see through the alias.  No data is built. *)
+    LFK6's WS) sharing their target's base.  No data is built.  Callers
+    need it only to inspect the placement; {!Convex_vpsim.Sim.run} uses
+    it by default. *)
 
 val analyze :
   ?machine:Machine.t ->

@@ -55,7 +55,7 @@ let macs_rate_mflops ?(machine = Machine.c240) k =
   let body = Convex_isa.Program.body c.program in
   match c.mode with
   | Job.Scalar ->
-      let b = Scalar_bound.of_compiled c in
+      let b = Scalar_bound.of_compiled ~machine c in
       machine.clock_mhz *. float_of_int c.flops_per_iteration
       /. b.Scalar_bound.cpl
   | Job.Vector ->

@@ -183,7 +183,7 @@ let check_faulted_never_faster ?(tol = default_tol)
   in
   match
     ( Sim.run ~machine ?fidelity job,
-      Sim.run ~machine ~faults ~guard:50_000 ?fidelity job )
+      Sim.run ~machine ~faults ?fidelity job )
   with
   | Ok h, Ok f
     when f.Sim.stats.Sim.cycles < h.Sim.stats.Sim.cycles *. (1.0 -. tol) ->

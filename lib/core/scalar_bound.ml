@@ -58,14 +58,13 @@ let compute ?(carried = false) ~machine instrs =
   in
   { issue; memory; fp; dependence; cpl }
 
-let of_compiled (c : Fcc.Compiler.t) =
+let of_compiled ~machine (c : Fcc.Compiler.t) =
   match c.mode with
   | Convex_vpsim.Job.Vector ->
       invalid_arg "Scalar_bound.of_compiled: vector-mode compilation"
   | Convex_vpsim.Job.Scalar ->
       let carried = c.verdict <> Fcc.Vectorizer.Vectorizable in
-      compute ~carried ~machine:Machine.c240
-        (Convex_isa.Program.body c.program)
+      compute ~carried ~machine (Convex_isa.Program.body c.program)
 
 let pp fmt t =
   Format.fprintf fmt

@@ -35,9 +35,10 @@ val compute :
     chain: the next iteration's loads wait for this iteration's last
     store. *)
 
-val of_compiled : Fcc.Compiler.t -> t
-(** Convenience: compute the bound for a scalar-mode compilation result
-    (using its vectorization verdict to set [carried]).  Raises
-    [Invalid_argument] when the compilation is in vector mode. *)
+val of_compiled : machine:Machine.t -> Fcc.Compiler.t -> t
+(** Convenience: compute the bound on [machine] for a scalar-mode
+    compilation result (using its vectorization verdict to set
+    [carried]).  Raises [Invalid_argument] when the compilation is in
+    vector mode. *)
 
 val pp : Format.formatter -> t -> unit

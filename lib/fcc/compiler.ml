@@ -877,7 +877,14 @@ let compile ?(opt = Opt_level.v61) ?(force_scalar = false) (k : Kernel.t) =
         Job.segment ~base:s.base ~shifts:s.shifts ~prologue ~epilogue s.length)
       k.segments
   in
-  let job = Job.make ~mode ~name ~body ~segments () in
+  (* everything the compiled code addresses: the declared arrays in
+     order, then the constant pool when scalars spilled *)
+  let pool =
+    if scal.spilled = [] then []
+    else [ (scalar_pool_array, List.length scal.spilled) ]
+  in
+  let storage = { Job.arrays = k.arrays @ pool; aliases = k.aliases } in
+  let job = Job.make ~mode ~storage ~name ~body ~segments () in
   {
     kernel = k;
     opt;
@@ -891,15 +898,10 @@ let compile ?(opt = Opt_level.v61) ?(force_scalar = false) (k : Kernel.t) =
     spilled_scalars = List.map fst scal.spilled;
   }
 
-let storage (c : t) =
-  let pool =
-    if c.spilled_scalars = [] then []
-    else [ (scalar_pool_array, List.length c.spilled_scalars) ]
-  in
-  (c.kernel.arrays @ pool, c.kernel.aliases)
+let storage (c : t) = Option.get c.job.storage
 
 let initial_store (c : t) =
-  let arrays, aliases = storage c in
+  let { Job.arrays; aliases } = storage c in
   let declared = List.length c.kernel.arrays in
   let data =
     List.mapi

@@ -25,7 +25,9 @@ type t = {
           dependence forces the C-240's scalar mode *)
   verdict : Vectorizer.verdict;
   program : Program.t;  (** one strip of the inner loop, in schedule order *)
-  job : Job.t;  (** the runnable strip-mined loop nest *)
+  job : Job.t;
+      (** the runnable strip-mined loop nest, carrying {!storage} so the
+          simulator places it without the caller's help *)
   sregs : (int * float) list;  (** initial scalar register file *)
   flops_per_iteration : int;
   scalar_map : (string * int) list;  (** scalar name → s-register index *)
@@ -40,13 +42,13 @@ val compile : ?opt:Opt_level.t -> ?force_scalar:bool -> Lfk.Kernel.t -> t
     code anyway (the vectorization-speedup ablation).  Raises
     [Invalid_argument] if the kernel fails {!Lfk.Kernel.validate}. *)
 
-val storage : t -> (string * int) list * (string * string) list
-(** Everything the compiled code addresses: [(arrays, aliases)], where
-    [arrays] lists each distinct array with its size in words — the
-    kernel's declared arrays in order, then the [SCAL] constant pool when
-    scalars spilled — and [aliases] maps each alias to the declared array
-    whose storage it shares.  {!initial_store} fills exactly these, and
-    the simulator's memory layout places them. *)
+val storage : t -> Job.storage
+(** Everything the compiled code addresses, as recorded on [job]: [arrays]
+    lists each distinct array with its size in words — the kernel's
+    declared arrays in order, then the [SCAL] constant pool when scalars
+    spilled — and [aliases] maps each alias to the declared array whose
+    storage it shares.  {!initial_store} fills exactly these, and
+    {!Job.layout} places them. *)
 
 val initial_store : t -> Store.t
 (** The kernel's initial data ({!Lfk.Data.fill}) plus the compiler's

@@ -16,3 +16,6 @@ let name t =
   | Stream_reuse, Loads_first -> "ideal-loads-first"
   | Reload_shifted, Packed -> "packed"
   | Stream_reuse, Packed -> "ideal-packed"
+
+let all = [ v61; ideal; loads_first; packed ]
+let of_name s = List.find_opt (fun o -> name o = s) all

@@ -34,5 +34,14 @@ val functional : t -> bool
     ([Stream_reuse] does not). *)
 
 val name : t -> string
+
+val all : t list
+(** The four named levels, in the order above: [v61], [ideal],
+    [loads_first], [packed]. *)
+
+val of_name : string -> t option
+(** The level of {!all} whose {!name} is this ("v61", "ideal",
+    "loads-first", "packed"). *)
+
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -5,7 +5,7 @@
     ["macs-fuzz-corpus"]), so writes are crash-safe (a torn tail from a
     killed fuzzer is repaired, never corrupting earlier entries) and
     appends are atomic per entry.  Each entry records what was being
-    fuzzed ([kind]), on which machine preset, from which seed, the
+    fuzzed ([kind]), on which machine, from which seed, the
     payload (a {!Codec} kernel or an assembly listing), and the
     expectation:
 
@@ -31,7 +31,10 @@ type expect = Clean | Violation of string  (** failing check id *)
 
 type entry = {
   kind : kind;
-  machine : string;  (** {!Convex_machine.Machine.of_name} spelling *)
+  machine : string;
+      (** a {!Convex_dsl.Machine_dsl} spec: the fuzzer writes
+          {!Convex_machine.Machine.to_spec}; a preset name (older
+          entries) parses too *)
   seed : int;  (** fuzzer seed that produced the case *)
   expect : expect;
   payload : string;  (** {!Codec} text or assembly listing *)

@@ -24,9 +24,9 @@ type config = {
   seed : int;
   count : int;
   machine : Convex_machine.Machine.t;
-  machine_name : string;
-      (** {!Convex_machine.Machine.of_name} spelling, recorded in corpus
-          entries; cache keys use {!Convex_machine.Machine.digest} *)
+      (** any {!Convex_dsl.Machine_dsl} machine; corpus entries record
+          its {!Convex_machine.Machine.to_spec}, cache keys its
+          {!Convex_machine.Machine.digest} *)
   fault_plans : Convex_fault.Fault.t list;
   budget : Convex_harness.Budget.t;  (** per-simulation watchdog *)
   max_wall_s : float option;  (** whole-campaign wall-clock cap *)

@@ -71,10 +71,6 @@ let compare_stores (k : Lfk.Kernel.t) a b =
 
 (* ---- the stack ---- *)
 
-let opt_levels =
-  [ Fcc.Opt_level.v61; Fcc.Opt_level.ideal; Fcc.Opt_level.loads_first;
-    Fcc.Opt_level.packed ]
-
 let compile_check opt k =
   let id = Printf.sprintf "compile:%s" (Fcc.Opt_level.name opt) in
   match Fcc.Compiler.compile ~opt k with
@@ -171,13 +167,14 @@ let fidelity_diff_check ~machine ~faults (c : Fcc.Compiler.t) =
     | None -> "fidelity-diff"
     | Some p -> Printf.sprintf "fidelity-diff:%s" p
   in
-  (* deterministic guard, no watchdog: both runs must step (or stall out)
+  (* the plan's guard, no watchdog: both runs must step (or stall out)
      identically, so even the failure cycle in the diagnostic is part of
      the contract being diffed *)
-  let guard = if plan_name = None then Sim.default_guard else 50_000 in
   let once fidelity =
     let log = ref [] in
-    let r = Sim.run ~machine ~faults ~guard ~trace:true ~access_log:log ~fidelity c.job in
+    let r =
+      Sim.run ~machine ~faults ~trace:true ~access_log:log ~fidelity c.job
+    in
     (r, !log)
   in
   match (once Fastpath.Cycle, once Fastpath.Tiered) with
@@ -258,7 +255,7 @@ let run ?(machine = Machine.c240) ?(sim = true) ?(fault_plans = [])
         let c, check = compile_check opt k in
         emit check;
         (opt, c))
-      opt_levels
+      Fcc.Opt_level.all
   in
   let functional =
     List.filter_map

@@ -31,11 +31,11 @@
       ({!Convex_vpsim.Fastpath.Tiered}) is bit-identical to pure cycle
       stepping on the same job: total cycles, every stall counter,
       per-pipe busy time, the full trace event list and the word-level
-      access log are compared bitwise (floats by their IEEE bits), with a
-      deterministic guard and no watchdog.  When both tiers fail, even
-      the rendered diagnostic must match.  This rung is the empirical
-      proof obligation behind the fast path's "never changes the
-      answer" claim. *)
+      access log are compared bitwise (floats by their IEEE bits), with
+      the plan's guard ({!Convex_vpsim.Sim.guard_for}) and no watchdog.
+      When both tiers fail, even the rendered diagnostic must match.
+      This rung is the empirical proof obligation behind the fast path's
+      "never changes the answer" claim. *)
 
 type outcome = Pass | Skip of string | Fail of string
 

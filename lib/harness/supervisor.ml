@@ -19,11 +19,11 @@ let ( let* ) = Result.bind
 (* the journal config fields after the machine digest: everything a
    resumed row must share with a fresh one (the budget is deliberately
    absent, so --retry-failed may heal rows under a different budget) *)
-let config ~opt ~faults ~guard =
+let config ~opt ~faults =
   [
     ("opt", Fcc.Opt_level.name opt);
     ("faults", if Fault.is_none faults then "" else Fault.to_spec faults);
-    ("guard", J.put_int guard);
+    ("guard", J.put_int (Convex_vpsim.Sim.guard_for faults));
   ]
 
 (* Substitute the analytic estimate for a row the simulation could not
@@ -50,8 +50,7 @@ let cell_codec =
     decode = (fun _ records -> Suite_journal.cell_of_records records);
   }
 
-let spec ~karr ~machine ~opt ~faults ~guard ~budget ~oracle_tol ?fidelity
-    ~jobs () =
+let spec ~karr ~machine ~opt ~faults ~budget ~oracle_tol ?fidelity ~jobs () =
   let compute i =
     let k = karr.(i) in
     let watchdog =
@@ -61,8 +60,7 @@ let spec ~karr ~machine ~opt ~faults ~guard ~budget ~oracle_tol ?fidelity
     in
     let c = Fcc.Compiler.compile ~opt k in
     let row, attempts =
-      Suite.run_compiled_attempts ?watchdog ?fidelity ~machine ~faults ~guard
-        c
+      Suite.run_compiled_attempts ?watchdog ?fidelity ~machine ~faults c
     in
     match row.Suite.outcome with
     | Ok p ->
@@ -83,7 +81,7 @@ let spec ~karr ~machine ~opt ~faults ~guard ~budget ~oracle_tol ?fidelity
      bit-identical by contract, so cached cells stay valid across the
      flag *)
   let key i =
-    config ~opt ~faults ~guard
+    config ~opt ~faults
     @ [
         ("budget", Budget.to_string budget);
         ("tol", J.put_float oracle_tol);
@@ -108,25 +106,16 @@ let cell_key ~machine i =
   let karr = Array.of_list (Suite.kernels ()) in
   Durable.key
     (spec ~karr ~machine ~opt:Fcc.Opt_level.v61 ~faults:Fault.none
-       ~guard:Convex_vpsim.Sim.default_guard ~budget:Budget.none
-       ~oracle_tol:Macs.Oracle.default_tol ~jobs:1 ())
+       ~budget:Budget.none ~oracle_tol:Macs.Oracle.default_tol ~jobs:1 ())
     i
 
 let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
-    ?(faults = Fault.none) ?guard ?(budget = Budget.none)
+    ?(faults = Fault.none) ?(budget = Budget.none)
     ?(oracle_tol = Macs.Oracle.default_tol) ?(jobs = 1) ?journal
     ?(resume = false) ?(retry_failed = false) ?cache ?fidelity () =
-  let guard =
-    match guard with
-    | Some g -> g
-    | None ->
-        if Fault.is_none faults then Convex_vpsim.Sim.default_guard
-        else Suite.faulted_guard
-  in
   let karr = Array.of_list (Suite.kernels ()) in
   let spec =
-    spec ~karr ~machine ~opt ~faults ~guard ~budget ~oracle_tol ?fidelity
-      ~jobs ()
+    spec ~karr ~machine ~opt ~faults ~budget ~oracle_tol ?fidelity ~jobs ()
   in
   let kernel_index id = Array.find_index (fun k -> k.Lfk.Kernel.id = id) karr in
   let journal =
@@ -136,7 +125,7 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
           Durable.path;
           format = Suite_journal.format;
           resume = resume || retry_failed;
-          config = config ~opt ~faults ~guard;
+          config = config ~opt ~faults;
           records = cell_codec;
           (* retry attempts and violations close with their row *)
           closes =

@@ -55,7 +55,6 @@ val run :
   ?machine:Machine.t ->
   ?opt:Fcc.Opt_level.t ->
   ?faults:Convex_fault.Fault.t ->
-  ?guard:int ->
   ?budget:Budget.t ->
   ?oracle_tol:float ->
   ?jobs:int ->
@@ -68,7 +67,8 @@ val run :
   (outcome, string) result
 (** Errors only on journal problems the caller must decide about: an
     unreadable or corrupt journal, or a resume whose journaled config
-    (machine digest, opt level, fault plan, guard) differs from the
+    (machine digest, opt level, fault plan, and the progress guard the
+    plan implies, {!Convex_vpsim.Sim.guard_for}) differs from the
     requested run — replaying rows measured under different conditions
     would silently mix incomparable numbers; the message names every
     differing field.  [retry_failed] implies resume.

@@ -135,11 +135,11 @@ let escape s =
     s;
   Buffer.contents b
 
-let to_spec m =
+(* every clause after [name=]: the fields that can change a result *)
+let field_clauses m =
   let mem = m.memory in
   let buf = Buffer.create 256 in
   let clause fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
-  clause "name=%s" (escape m.name);
   clause ";clock=%s" (float_token m.clock_mhz);
   clause ";vl=%d" m.max_vl;
   clause ";pipes=%d/%d/%d" m.pipes.load_store m.pipes.add_unit
@@ -162,7 +162,8 @@ let to_spec m =
     vclass_names;
   Buffer.contents buf
 
-let digest m = Digest.to_hex (Digest.string (to_spec m))
+let to_spec m = "name=" ^ escape m.name ^ field_clauses m
+let digest m = Digest.to_hex (Digest.string (field_clauses m))
 
 let presets =
   [

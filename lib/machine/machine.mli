@@ -84,10 +84,11 @@ val to_spec : t -> string
     every field, in a fixed clause order, floats in round-trip form. *)
 
 val digest : t -> string
-(** Machine identity: the hex MD5 of {!to_spec}.  Two machines share a
-    digest exactly when their canonical specs are equal, so every field
-    that can change a result — bank count, pair limits, scalar cycles,
-    timing rows — is part of it.  Stored results (cache keys, journal
+(** Machine identity: the hex MD5 of {!to_spec} without its [name=]
+    clause.  Two machines share a digest exactly when every field that
+    can change a result — bank count, pair limits, scalar cycles, timing
+    rows — is equal, whatever they are called ([no-refresh] and
+    [c240;refresh=none] share one).  Stored results (cache keys, journal
     config records) are keyed by this, never by the display name. *)
 
 val presets : (string * t) list

@@ -28,24 +28,19 @@ type t = {
 let gap_pct ~measured ~bound =
   if bound <= 0.0 then 0.0 else 100.0 *. ((measured /. bound) -. 1.0)
 
-(* Same rationale as {!Suite.faulted_guard}: legitimate faulted waits are
-   short, so a stalled kernel is diagnosed quickly. *)
-let faulted_guard = 50_000
-
 let run_kernel machine opt faults (k : Lfk.Kernel.t) =
   let c = Fcc.Compiler.compile ~opt k in
-  let layout = Macs.Hierarchy.layout_of c in
   let body = Convex_isa.Program.body c.Fcc.Compiler.program in
   let bound = Macs.Macs_bound.compute ~machine body in
   let measure ?faults ?guard () =
-    Measure.run ~machine ~layout ?faults ?guard
+    Measure.run ~machine ?faults ?guard
       ~flops_per_iteration:c.Fcc.Compiler.flops_per_iteration
       c.Fcc.Compiler.job
   in
   let healthy = Macs_error.of_result (measure ()) in
   let faulted =
     Retry.with_relaxed_guard (fun ~guard_scale ->
-        measure ~faults ~guard:(faulted_guard * guard_scale) ())
+        measure ~faults ~guard:(Sim.guard_for faults * guard_scale) ())
   in
   {
     kernel = k;

@@ -36,27 +36,19 @@ let checksum_of_store (k : Lfk.Kernel.t) store =
     0.0
     (Lfk.Reference.output_arrays k)
 
-(* Under an active fault plan, legitimate per-access waits stay under a
-   few hundred cycles (degraded banks, scrub windows and port spikes are
-   all short); only a permanently blocked bank spins longer.  A small
-   guard keeps stalled-out kernels cheap to diagnose without risking
-   false positives. *)
-let faulted_guard = 50_000
-
 let kernels () =
   List.sort
     (fun (a : Lfk.Kernel.t) b -> compare a.id b.id)
     (Lfk.Kernels.all @ Lfk.Kernels.scalar_kernels)
 
-let run_compiled_attempts ?watchdog ?fidelity ~machine ~faults ~guard
+let run_compiled_attempts ?watchdog ?fidelity ~machine ~faults
     (c : Fcc.Compiler.t) =
   let k = c.kernel in
-  let layout = Macs.Hierarchy.layout_of c in
   let outcome, attempts =
     Retry.with_relaxed_guard_attempts (fun ~guard_scale ->
         match
-          Measure.run ?watchdog ?fidelity ~machine ~layout ~faults
-            ~guard:(guard * guard_scale)
+          Measure.run ?watchdog ?fidelity ~machine ~faults
+            ~guard:(Sim.guard_for faults * guard_scale)
             ~flops_per_iteration:c.flops_per_iteration c.job
         with
         | Error _ as e -> e
@@ -81,9 +73,9 @@ let run_compiled_attempts ?watchdog ?fidelity ~machine ~faults ~guard
   in
   ({ kernel = k; mode = c.mode; outcome; source = Measured }, attempts)
 
-let run_kernel ?watchdog ?fidelity ~machine ~opt ~faults ~guard k =
+let run_kernel ?watchdog ?fidelity ~machine ~opt ~faults k =
   fst
-    (run_compiled_attempts ?watchdog ?fidelity ~machine ~faults ~guard
+    (run_compiled_attempts ?watchdog ?fidelity ~machine ~faults
        (Fcc.Compiler.compile ~opt k))
 
 let of_rows ?(violations = []) ~machine ~faults rows =
@@ -111,14 +103,9 @@ let of_rows ?(violations = []) ~machine ~faults rows =
   }
 
 let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
-    ?(faults = Fault.none) ?guard ?fidelity () =
-  let guard =
-    match guard with
-    | Some g -> g
-    | None -> if Fault.is_none faults then Sim.default_guard else faulted_guard
-  in
+    ?(faults = Fault.none) ?fidelity () =
   let rows =
-    List.map (run_kernel ?fidelity ~machine ~opt ~faults ~guard) (kernels ())
+    List.map (run_kernel ?fidelity ~machine ~opt ~faults) (kernels ())
   in
   of_rows ~machine ~faults rows
 

@@ -62,11 +62,11 @@ val run_kernel :
   machine:Machine.t ->
   opt:Fcc.Opt_level.t ->
   faults:Convex_fault.Fault.t ->
-  guard:int ->
   Lfk.Kernel.t ->
   row
 (** One suite row: compile, simulate (with one relaxed-guard retry on a
-    retryable diagnostic), verify the checksum.  [watchdog] is polled
+    retryable diagnostic, scaling {!Convex_vpsim.Sim.guard_for} of the
+    plan), verify the checksum.  [watchdog] is polled
     from inside the simulator's stepping loop; returning [Some err]
     cancels the run with that diagnostic (see {!Convex_vpsim.Sim.run}). *)
 
@@ -75,7 +75,6 @@ val run_compiled_attempts :
   ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   machine:Machine.t ->
   faults:Convex_fault.Fault.t ->
-  guard:int ->
   Fcc.Compiler.t ->
   row * (int * Macs_util.Macs_error.t) list
 (** Like {!run_kernel} on an already compiled kernel, so a caller that
@@ -99,18 +98,11 @@ val run :
   ?machine:Machine.t ->
   ?opt:Fcc.Opt_level.t ->
   ?faults:Convex_fault.Fault.t ->
-  ?guard:int ->
   ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   unit ->
   t
-(** [guard] defaults to {!Convex_vpsim.Sim.default_guard} on a healthy
-    machine and to a much smaller value under an active fault plan, so
-    permanently stalled kernels are diagnosed quickly.  [fidelity]
-    selects the simulator tier exactly as in {!Convex_vpsim.Sim.run};
-    both tiers produce bit-identical rows. *)
-
-val faulted_guard : int
-(** The reduced progress guard used under an active fault plan. *)
+(** [fidelity] selects the simulator tier exactly as in
+    {!Convex_vpsim.Sim.run}; both tiers produce bit-identical rows. *)
 
 val failed_rows : t -> (row * Macs_util.Macs_error.t) list
 (** Rows that produced neither a measurement nor an estimate. *)

@@ -293,7 +293,9 @@ let scalar_mode () =
   List.iter
     (fun (k : Lfk.Kernel.t) ->
       let c = Fcc.Compiler.compile k in
-      let bound = Macs.Scalar_bound.of_compiled c in
+      let bound =
+        Macs.Scalar_bound.of_compiled ~machine:Convex_machine.Machine.c240 c
+      in
       let m =
         Convex_vpsim.Measure.run_exn ~flops_per_iteration:c.flops_per_iteration
           c.job

@@ -32,9 +32,8 @@ let estimate_fields (est : Macs.Estimate.t) e =
 
 let simulate ?watchdog ?memo (it : Protocol.item) k =
   let c = Fcc.Compiler.compile ~opt:it.opt k in
-  let layout = Macs.Hierarchy.layout_of c in
   match
-    Convex_vpsim.Measure.run ~machine:it.machine ~layout ~faults:it.faults
+    Convex_vpsim.Measure.run ~machine:it.machine ~faults:it.faults
       ?watchdog ~fidelity:it.fidelity ?memo
       ~flops_per_iteration:c.Fcc.Compiler.flops_per_iteration
       c.Fcc.Compiler.job

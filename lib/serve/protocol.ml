@@ -67,11 +67,6 @@ let ( let* ) = Result.bind
 let bad ?site fmt =
   Printf.ksprintf (fun m -> Error (perror ?site ~kind:"bad-request" m)) fmt
 
-let opt_levels =
-  List.map
-    (fun o -> (Fcc.Opt_level.name o, o))
-    Fcc.Opt_level.[ v61; ideal; loads_first; packed ]
-
 let decode_kernel = function
   | None -> Ok (None, "-")
   | Some j -> (
@@ -130,12 +125,12 @@ let decode_fidelity = function
 let decode_opt = function
   | None -> Ok Fcc.Opt_level.v61
   | Some j -> (
-      match Option.bind (Json.str j) (fun s -> List.assoc_opt s opt_levels)
-      with
+      match Option.bind (Json.str j) Fcc.Opt_level.of_name with
       | Some o -> Ok o
       | None ->
           bad "opt must be one of %s"
-            (String.concat ", " (List.map fst opt_levels)))
+            (String.concat ", "
+               (List.map Fcc.Opt_level.name Fcc.Opt_level.all)))
 
 let decode_tol = function
   | None -> Ok None

@@ -13,9 +13,16 @@ type stream = {
 type cpu_outcome = { stream : stream; delay : int; slowdown : float }
 type t = { cpus : cpu_outcome list; average_slowdown : float }
 
+(* Co-simulated streams keep the probe placement (every array at 8192
+   words) even for a compiled job: Figure 3, parallel mode and the
+   resilience report's contention probes are pinned on it, and moving
+   them onto the compiler's storage is a model change of its own. *)
 let stream_of_job ?(machine = Machine.c240) ?faults ?fidelity ~name job =
   let log = ref [] in
-  let r = Sim.run_exn ~machine ?faults ~access_log:log ?fidelity job in
+  let layout = Job.layout { job with Job.storage = None } in
+  let r =
+    Sim.run_exn ~machine ~layout ?faults ~access_log:log ?fidelity job
+  in
   let accesses =
     !log
     |> List.rev_map (fun (cycle, word) -> { cycle; word })

@@ -45,8 +45,9 @@ val stream_of_job :
 (** Solo-run the job (traced) and reconstruct its memory-access stream:
     each vector memory instruction contributes one access per element
     starting at its observed start cycle; scalar accesses contribute one.
-    Bank addresses come from the same layout the run used.  [faults]
-    applies the plan to the solo run; raises
+    The solo run places every array at 8192 words, as for a job without
+    storage, whatever the job's {!Job.storage}; bank addresses come from
+    that layout.  [faults] applies the plan to the solo run; raises
     {!Macs_util.Macs_error.Error} if the solo run stalls out under it. *)
 
 val max_cpus : Machine.t -> int

@@ -13,20 +13,26 @@ let segment ?(base = 0) ?(shifts = []) ?(prologue = []) ?(epilogue = []) vl =
 
 type mode = Vector | Scalar
 
+type storage = {
+  arrays : (string * int) list;
+  aliases : (string * string) list;
+}
+
 type t = {
   name : string;
   body : Instr.t list;
   segments : segment list;
   mode : mode;
+  storage : storage option;
 }
 
-let make ?(mode = Vector) ~name ~body ~segments () =
+let make ?(mode = Vector) ?storage ~name ~body ~segments () =
   if body = [] then invalid_arg "Job.make: empty body";
   if segments = [] then invalid_arg "Job.make: no segments";
   List.iter
     (fun s -> if s.vl <= 0 then invalid_arg "Job.make: nonpositive segment")
     segments;
-  { name; body; segments; mode }
+  { name; body; segments; mode; storage }
 
 let of_program p ~n =
   make ~name:(Program.name p) ~body:(Program.body p) ~segments:[ segment n ]
@@ -50,6 +56,18 @@ let arrays t =
         t.segments
   in
   List.sort_uniq String.compare names
+
+let layout t =
+  match t.storage with
+  | None ->
+      Convex_memsys.Layout.build (List.map (fun a -> (a, 8192)) (arrays t))
+  | Some { arrays; aliases } ->
+      let layout = Convex_memsys.Layout.build arrays in
+      List.iter
+        (fun (name, target) ->
+          Convex_memsys.Layout.alias layout ~existing:target name)
+        aliases;
+      layout
 
 let map_body f t =
   let map_seg s =

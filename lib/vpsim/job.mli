@@ -10,7 +10,16 @@ open Convex_isa
     Each segment may shift the effective base address of arrays (modeling
     outer-loop address arithmetic for 2-D arrays) and may carry scalar or
     vector prologue/epilogue instructions that execute once per segment
-    (modeling the paper's "outer loop overhead"). *)
+    (modeling the paper's "outer loop overhead").
+
+    A job also carries where its data sits in memory.  The paper binds
+    "the allocation of the data structures in memory" as a degree of
+    freedom of its own (the D extension), so a measured time means
+    something only once the layout is fixed: a compiled job records the
+    compiler's {!storage}, {!layout} places it, and {!Sim.run} runs over
+    that placement unless a caller passes another.  Every front end that
+    simulates a compiled kernel therefore measures it over the same
+    layout. *)
 
 type segment = {
   base : int;  (** loop-index value of the segment's first element *)
@@ -31,18 +40,31 @@ val segment : ?base:int -> ?shifts:(string * int) list ->
     scalar mode, used for loops the compiler cannot vectorize). *)
 type mode = Vector | Scalar
 
+(** The storage a job addresses, as its compiler allocated it. *)
+type storage = {
+  arrays : (string * int) list;
+      (** each distinct array with its size in words, in placement order *)
+  aliases : (string * string) list;
+      (** each alias with the array whose storage it shares (LFK2's XS,
+          LFK6's WS) *)
+}
+
 type t = {
   name : string;
   body : Instr.t list;
   segments : segment list;
   mode : mode;
+  storage : storage option;
+      (** [None] for hand-built probes: {!layout} then gives every array
+          8192 words *)
 }
 
 val make :
-  ?mode:mode -> name:string -> body:Instr.t list -> segments:segment list ->
-  unit -> t
+  ?mode:mode -> ?storage:storage -> name:string -> body:Instr.t list ->
+  segments:segment list -> unit -> t
 (** Raises [Invalid_argument] on an empty body, empty segment list, or a
-    nonpositive segment length.  [mode] defaults to [Vector]. *)
+    nonpositive segment length.  [mode] defaults to [Vector], [storage]
+    to [None]. *)
 
 val of_program : Program.t -> n:int -> t
 (** Single-segment job over a program's body. *)
@@ -58,6 +80,14 @@ val strip_count : t -> max_vl:int -> int
 val arrays : t -> string list
 (** All arrays referenced by body, prologues and epilogues. *)
 
+val layout : t -> Convex_memsys.Layout.t
+(** The job's memory layout: with [storage], its arrays placed in order
+    by {!Convex_memsys.Layout.build} and each alias bound to its target's
+    base, so bank behaviour and memory dependences see through the alias;
+    without, every array of {!arrays} placed at 8192 words.  A fresh
+    layout on every call. *)
+
 val map_body : (Instr.t list -> Instr.t list) -> t -> t
 (** Transform the body (and each segment's prologue/epilogue) — used by the
-    A/X process generators. *)
+    A/X process generators.  The storage is kept, so the A- and X-process
+    run over the full code's layout. *)

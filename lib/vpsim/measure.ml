@@ -98,10 +98,11 @@ let simulate ~machine ?layout ~faults ~guard ?watchdog ~fidelity
         }
 
 let run ?(machine = Machine.c240) ?layout ?(faults = Convex_fault.Fault.none)
-    ?(guard = Sim.default_guard) ?watchdog ?(fidelity = Fastpath.Tiered)
-    ?memo ~flops_per_iteration job =
+    ?guard ?watchdog ?(fidelity = Fastpath.Tiered) ?memo ~flops_per_iteration
+    job =
   if flops_per_iteration <= 0 then
     invalid_arg "Measure.run: nonpositive flops_per_iteration";
+  let guard = Option.value guard ~default:(Sim.guard_for faults) in
   let simulate () =
     simulate ~machine ?layout ~faults ~guard ?watchdog ~fidelity
       ~flops_per_iteration job

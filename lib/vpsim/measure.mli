@@ -4,6 +4,14 @@ open Convex_memsys
 (** High-level measurement wrapper: runs a job on the simulator and reports
     the paper's units.
 
+    {b Run contract.}  A measurement of a compiled kernel is fixed by the
+    machine, the fault plan, the fidelity and the job alone.  The job
+    carries its own memory layout ({!Job.layout}, from the compiler's
+    storage), and the progress guard follows from the plan
+    ({!Sim.guard_for}), so every front end — CLI, suite, server, fuzz —
+    measures a kernel the same way without choosing either.  [?layout]
+    and [?guard] remain for hand-built probes and retry policies.
+
     Every level of the MACS hierarchy is built from the same handful of
     measurements (t_p, t_a, t_x of one kernel, on one machine, at one code
     level), so a long-lived caller can hand {!run} a {!Memo.t}: a bounded
@@ -23,10 +31,11 @@ type t = {
 
     {b Key.}  Everything {!Sim.run} and the unit conversion read, each
     resolved to the value the run uses: {!Convex_machine.Machine.digest},
-    the layout ({!Convex_memsys.Layout.bindings}, or "absent", which
-    {!Sim.run} derives from the job), the fault plan (an absent plan is
-    {!Convex_fault.Fault.none}), the guard (absent is
-    {!Sim.default_guard}), the fidelity (absent is [Tiered]),
+    an explicit layout ({!Convex_memsys.Layout.bindings}, or "absent",
+    which {!Sim.run} derives from the job's storage, itself part of the
+    job), the fault plan (an absent plan is {!Convex_fault.Fault.none}),
+    the guard (absent is {!Sim.guard_for} of the plan), the fidelity
+    (absent is [Tiered]),
     [flops_per_iteration] and the job, hashed by its marshalled bytes.
     Two calls share an entry only when all of these are equal.
 

@@ -75,8 +75,12 @@ let enter_at w e =
   let n = Array.length w.enter in
   w.enter.(min e (n - 1))
 
-(* default spin budget of the memory-progress guard, in cycles per access *)
-let default_guard = 1_000_000
+(* spin budget of the memory-progress guard, in cycles per access.  Under
+   an active fault plan, legitimate waits stay under a few hundred cycles
+   (degraded banks, scrub windows and port spikes are all short); only a
+   permanently blocked bank spins longer, so a small guard diagnoses a
+   stalled-out run cheaply without false positives. *)
+let guard_for faults = if Fault.is_none faults then 1_000_000 else 50_000
 
 (* watchdog spin-check interval in acquire_mem: frequent enough to cancel
    a stalled access long before the livelock guard trips, rare enough to
@@ -84,14 +88,13 @@ let default_guard = 1_000_000
    leap can prove it never absorbs a wait that would have polled. *)
 let watchdog_spin_mask = Fastpath.spin_check_interval - 1
 
-let run ?(machine = Machine.c240) ?layout ?(faults = Fault.none)
-    ?(guard = default_guard) ?watchdog ?access_log ?(trace = false)
-    ?(fidelity = Fastpath.Tiered) (job : Job.t) =
+let run ?(machine = Machine.c240) ?layout ?(faults = Fault.none) ?guard
+    ?watchdog ?access_log ?(trace = false) ?(fidelity = Fastpath.Tiered)
+    (job : Job.t) =
   let layout =
-    match layout with
-    | Some l -> l
-    | None -> Layout.build (List.map (fun a -> (a, 8192)) (Job.arrays job))
+    match layout with Some l -> l | None -> Job.layout job
   in
+  let guard = Option.value guard ~default:(guard_for faults) in
   let memory = Memory.create ~faults ?log:access_log machine.memory in
   (* function unit instances: load/store units first, then add, then
      multiply *)

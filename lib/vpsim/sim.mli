@@ -26,6 +26,11 @@ open Convex_memsys
     business of {!Cosim}, which replays this simulator's access logs
     against shared banks.
 
+    A run needs no decision from its caller beyond the machine, the job,
+    the fault plan and the fidelity: the memory layout comes with the job
+    ({!Job.layout}) and the progress guard follows from the plan
+    ({!guard_for}), so every front end measures a compiled kernel alike.
+
     Cycles are represented as floats so that the fractional per-element
     rates of Table 1 (reduction Z = 1.35, divide Z = 4) compose exactly. *)
 
@@ -59,9 +64,13 @@ type result = { stats : stats; events : event list }
 (** [events] is empty unless the run was traced, and lists instructions in
     issue order. *)
 
-val default_guard : int
-(** Default memory-progress guard: spin cycles allowed per access before
-    the run is declared livelocked (currently 1,000,000). *)
+val guard_for : Convex_fault.Fault.t -> int
+(** The memory-progress guard a run under this fault plan gets unless
+    its caller passes one: the spin cycles allowed per access before the
+    run is declared livelocked (1,000,000 on a healthy machine) or
+    stalled out (50,000 under an active plan, where legitimate waits stay
+    under a few hundred cycles and only a permanently blocked bank spins
+    longer).  {!Convex_fault.Retry} scales this base. *)
 
 val run :
   ?machine:Machine.t ->
@@ -75,9 +84,10 @@ val run :
   Job.t ->
   (result, Macs_util.Macs_error.t) Stdlib.result
 (** Simulate a job to completion.  [machine] defaults to {!Machine.c240};
-    [layout] defaults to [Layout.build] over the job's arrays; [faults]
-    to {!Convex_fault.Fault.none}; [trace] to [false]; [fidelity] to
-    {!Fastpath.Tiered}.  [Fastpath.Tiered]
+    [layout] to {!Job.layout} (the compiler's storage for a compiled job,
+    so no caller chooses the layout of a compiled kernel); [faults] to
+    {!Convex_fault.Fault.none}; [guard] to {!guard_for} [faults]; [trace]
+    to [false]; [fidelity] to {!Fastpath.Tiered}.  [Fastpath.Tiered]
     advances provably-analytic regions in closed-form leaps
     ({!Fastpath.try_leap}) and is bit-identical to cycle stepping —
     results, stall counters, traces and access logs — at a multiple of

@@ -14,7 +14,6 @@ module Fault_space = Convex_chaos.Fault_space
 module Slo = Convex_chaos.Slo
 
 let machine = Machine.c240
-let guard = Macs_report.Suite.faulted_guard
 
 let plan spec =
   match Fault.parse spec with
@@ -215,7 +214,7 @@ let probe n =
     ~segments:[ Job.segment n ] ()
 
 let probe_cycles ?faults n =
-  match Sim.run ~machine ?faults ~guard (probe n) with
+  match Sim.run ~machine ?faults (probe n) with
   | Ok r -> r.Sim.stats.Sim.cycles
   | Error e ->
       Alcotest.failf "probe of %d elements failed: %s" n
@@ -254,12 +253,12 @@ let test_recovery_slo_converges () =
   (* the campaign's own transient-recovery SLO agrees: an honestly
      windowed fault is not flagged *)
   let tplan = plan "stuck-bank=0@0-;window=0-256" in
-  (match Slo.recovery_check ~machine ~guard tplan with
+  (match Slo.recovery_check ~machine tplan with
   | None -> ()
   | Some (Slo.Violation { check; detail }) ->
       Alcotest.failf "honest transient flagged by %s: %s" check detail
   | Some _ -> Alcotest.fail "honest transient degraded");
-  match Slo.recovery_check ~machine ~guard (plan "jitter=4") with
+  match Slo.recovery_check ~machine (plan "jitter=4") with
   | None -> ()
   | Some _ -> Alcotest.fail "windowless plan has no recovery SLO"
 
@@ -459,7 +458,6 @@ let test_broken_hierarchy_minimal_plans () =
     {
       Campaign.default_config with
       machine = broken;
-      machine_name = "broken-hierarchy";
       seed = 42;
       cells = 2;
     }

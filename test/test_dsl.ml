@@ -175,6 +175,36 @@ let test_of_name_or_spec () =
   | Error msg ->
       Alcotest.(check bool) "flattened message" true (String.length msg > 0)
 
+(* ---- machine identity ---- *)
+
+let test_digest_ignores_name () =
+  let digest spec = Machine.digest (parse_ok spec) in
+  Alcotest.(check string)
+    "no-refresh = c240;refresh=none" (digest "no-refresh")
+    (digest "c240;refresh=none");
+  Alcotest.(check string)
+    "a name= override keeps c240's digest" (digest "c240")
+    (digest "c240;name=renamed")
+
+let test_digest_sees_every_field () =
+  (* one clause per field group, each moving c240 off its own value *)
+  let timing =
+    List.map
+      (fun (cname, _) -> Printf.sprintf "t.%s.b=9" cname)
+      Machine.vclass_names
+  in
+  List.iter
+    (fun clause ->
+      let m = parse_ok ("c240;" ^ clause) in
+      Alcotest.(check bool) (clause ^ " changes the machine") false
+        (m = Machine.c240);
+      Alcotest.(check bool) (clause ^ " changes the digest") false
+        (Machine.digest m = Machine.digest Machine.c240))
+    ([ "clock=26"; "vl=64"; "pipes=2/1/1"; "pipes.add=2"; "pipes.mul=2";
+       "pair=1/1"; "scalar=4/3"; "banks=64"; "word=4"; "busy=12";
+       "refresh=none"; "ports=3"; "t.add=1/2/3/4" ]
+    @ timing)
+
 let () =
   Alcotest.run "convex_dsl"
     [
@@ -199,5 +229,12 @@ let () =
           Alcotest.test_case "out of range" `Quick test_out_of_range;
           Alcotest.test_case "presets validate" `Quick test_validate_presets;
           Alcotest.test_case "of_name_or_spec" `Quick test_of_name_or_spec;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "digest ignores the name" `Quick
+            test_digest_ignores_name;
+          Alcotest.test_case "digest sees every field" `Quick
+            test_digest_sees_every_field;
         ] );
     ]

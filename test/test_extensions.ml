@@ -123,7 +123,7 @@ let test_scalar_job_counts_elements () =
 
 let test_scalar_bound_lfk5 () =
   let c = Fcc.Compiler.compile Lfk.Kernels.lfk5 in
-  let b = Macs.Scalar_bound.of_compiled c in
+  let b = Macs.Scalar_bound.of_compiled ~machine:Machine.c240 c in
   (* dependence chain: ld x (5) -> sub (3) -> mul (3) -> st (1) = 12 *)
   Alcotest.(check (float 0.01)) "dependence" 12.0 b.dependence;
   Alcotest.(check (float 0.01)) "issue 10 instrs" 10.0 b.issue;
@@ -131,11 +131,21 @@ let test_scalar_bound_lfk5 () =
   Alcotest.(check (float 0.01)) "fp 2" 2.0 b.fp;
   Alcotest.(check (float 0.01)) "cpl = dependence" 12.0 b.cpl
 
+let test_scalar_bound_uses_machine () =
+  (* the issue term is the machine's own: 10 instructions at 4 cycles *)
+  let machine =
+    Result.get_ok (Convex_dsl.Machine_dsl.of_name_or_spec "c240;scalar=4/3")
+  in
+  let c = Fcc.Compiler.compile Lfk.Kernels.lfk5 in
+  let b = Macs.Scalar_bound.of_compiled ~machine c in
+  Alcotest.(check (float 0.01)) "issue 10 instrs x 4" 40.0 b.issue;
+  Alcotest.(check (float 0.01)) "cpl = issue" 40.0 b.cpl
+
 let test_scalar_bound_below_measured () =
   List.iter
     (fun (k : Lfk.Kernel.t) ->
       let c = Fcc.Compiler.compile k in
-      let b = Macs.Scalar_bound.of_compiled c in
+      let b = Macs.Scalar_bound.of_compiled ~machine:Machine.c240 c in
       let m =
         Measure.run_exn ~flops_per_iteration:c.flops_per_iteration c.job
       in
@@ -149,7 +159,7 @@ let test_scalar_bound_rejects_vector () =
   let c = Fcc.Compiler.compile (Lfk.Kernels.find 1) in
   Alcotest.check_raises "vector mode"
     (Invalid_argument "Scalar_bound.of_compiled: vector-mode compilation")
-    (fun () -> ignore (Macs.Scalar_bound.of_compiled c))
+    (fun () -> ignore (Macs.Scalar_bound.of_compiled ~machine:Machine.c240 c))
 
 (* ---- Dbound ---- *)
 
@@ -546,6 +556,8 @@ let () =
       ( "scalar-bound",
         [
           Alcotest.test_case "lfk5 components" `Quick test_scalar_bound_lfk5;
+          Alcotest.test_case "machine's issue term" `Quick
+            test_scalar_bound_uses_machine;
           Alcotest.test_case "below measured" `Quick
             test_scalar_bound_below_measured;
           Alcotest.test_case "rejects vector mode" `Quick

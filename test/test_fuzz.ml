@@ -192,6 +192,38 @@ let corpus_replay () =
               r.Corpus.detail)
         replays
 
+(* a DSL machine's counterexamples record its canonical spec and replay
+   on that machine, not on a preset *)
+let test_corpus_keeps_dsl_machine () =
+  let path = Filename.temp_file "fuzz_dsl" ".journal" in
+  Sys.remove path;
+  let machine =
+    Result.get_ok
+      (Convex_dsl.Machine_dsl.of_name_or_spec "broken-hierarchy;banks=64")
+  in
+  let summary =
+    Convex_fuzz.Driver.run
+      {
+        Convex_fuzz.Driver.default_config with
+        machine;
+        count = 4;
+        fault_plans = [];
+        corpus = Some path;
+      }
+  in
+  Alcotest.(check bool) "the broken variant is caught" false
+    (Convex_fuzz.Driver.clean summary);
+  match Corpus.replay ~path () with
+  | Error msg -> Alcotest.fail msg
+  | Ok replays ->
+      Alcotest.(check bool) "entries appended" true (replays <> []);
+      List.iter
+        (fun (r : Corpus.replay) ->
+          Alcotest.(check string) "entry machine is the canonical spec"
+            (Machine.to_spec machine) r.Corpus.entry.Corpus.machine;
+          Alcotest.(check bool) ("replays: " ^ r.Corpus.detail) true r.Corpus.ok)
+        replays
+
 (* ---- a short in-process campaign ---- *)
 
 let test_campaign_clean_and_deterministic () =
@@ -235,6 +267,8 @@ let () =
           Alcotest.test_case "append/load round trip" `Quick
             test_corpus_append_load;
           Alcotest.test_case "committed corpus replays" `Quick corpus_replay;
+          Alcotest.test_case "DSL machine entries replay" `Quick
+            test_corpus_keeps_dsl_machine;
         ] );
       ( "campaign",
         [

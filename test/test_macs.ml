@@ -447,8 +447,7 @@ let layout_mismatch (c : Fcc.Compiler.t) =
         | _ -> None)
       names
 
-let opt_levels =
-  Fcc.Opt_level.[ v61; ideal; loads_first; packed ]
+let opt_levels = Fcc.Opt_level.all
 
 let test_layout_matches_store_derivation () =
   List.iter
@@ -473,6 +472,38 @@ let prop_layout_matches_store_derivation =
           | None -> true
           | Some d -> QCheck.Test.fail_reportf "%s: %s" (Fcc.Opt_level.name opt) d)
         opt_levels)
+
+(* The run contract: a compiled job simulated with no layout argument
+   runs over exactly the placement Hierarchy.layout_of describes, so a
+   front end that passes nothing measures what the suite measures. *)
+let test_job_carries_its_layout () =
+  let banks16 =
+    Result.get_ok
+      (Convex_dsl.Machine_dsl.of_name_or_spec "c240;banks=16;busy=12")
+  in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun (k : Lfk.Kernel.t) ->
+          List.iter
+            (fun opt ->
+              let c = Fcc.Compiler.compile ~opt k in
+              let run ?layout () =
+                Convex_vpsim.Sim.run_exn ~machine ?layout ~trace:true c.job
+              in
+              let own = run ()
+              and explicit = run ~layout:(Macs.Hierarchy.layout_of c) () in
+              let what =
+                Printf.sprintf "%s at %s on %s" k.name
+                  (Fcc.Opt_level.name opt) machine.Machine.name
+              in
+              Alcotest.(check bool) (what ^ ": stats") true
+                (own.stats = explicit.stats);
+              Alcotest.(check bool) (what ^ ": events") true
+                (own.events = explicit.events))
+            Fcc.Opt_level.[ v61; packed ])
+        (Macs_report.Suite.kernels ()))
+    [ Machine.c240; banks16 ]
 
 let test_diagnose_names_and_descriptions () =
   (* every issue constructor has a distinct name and a nonempty story *)
@@ -697,6 +728,8 @@ let () =
           Alcotest.test_case "pp_summary" `Quick test_pp_summary_smoke;
           Alcotest.test_case "layout = store-derived layout" `Quick
             test_layout_matches_store_derivation;
+          Alcotest.test_case "job carries its layout" `Quick
+            test_job_carries_its_layout;
         ] );
       ( "diagnose",
         [

@@ -488,17 +488,17 @@ let memo_counters memo =
 
 (* one memo, one base measurement of LFK1; every variant changes one
    input and must simulate afresh, while spelling a default out (no
-   plan = Fault.none, no guard = Sim.default_guard, no fidelity =
+   plan = Fault.none, no guard = Sim.guard_for of the plan, no fidelity =
    Tiered) must not *)
 let test_memo_key_sensitivity () =
   let memo = Measure.Memo.create () in
-  let measure ?(machine = Machine.c240) ?faults ?guard ?fidelity
+  let jitter = Result.get_ok (Convex_fault.Fault.parse "seed=3; jitter=12") in
+  let measure ?(machine = Machine.c240) ?layout ?faults ?guard ?fidelity
       ?(opt = Fcc.Opt_level.v61) () =
     let c = Fcc.Compiler.compile ~opt (lfk 1) in
     let run memo =
-      Measure.run_exn ~machine ~layout:(Macs.Hierarchy.layout_of c) ?faults
-        ?guard ?fidelity ?memo ~flops_per_iteration:c.flops_per_iteration
-        c.job
+      Measure.run_exn ~machine ?layout ?faults ?guard ?fidelity ?memo
+        ~flops_per_iteration:c.flops_per_iteration c.job
     in
     let m = run (Some memo) in
     Alcotest.(check (float 0.0)) "memoised == fresh" (run None).Measure.cycles
@@ -513,20 +513,22 @@ let test_memo_key_sensitivity () =
   let refresh_none =
     Result.get_ok (Convex_dsl.Machine_dsl.parse "c240;refresh=none")
   in
+  let spread =
+    Convex_memsys.Layout.build
+      (List.map (fun a -> (a, 8192)) (Job.arrays (Fcc.Compiler.compile (lfk 1)).job))
+  in
   let variants =
     [
       ("c240;refresh=none", fun () -> measure ~machine:refresh_none ());
       ("cycle fidelity", fun () -> measure ~fidelity:Fastpath.Cycle ());
-      ( "fault plan",
-        fun () ->
-          measure
-            ~faults:(Result.get_ok (Convex_fault.Fault.parse "seed=3; jitter=12"))
-            () );
+      ("fault plan", fun () -> measure ~faults:jitter ());
       ("ideal code", fun () -> measure ~opt:Fcc.Opt_level.ideal ());
       ("guard 50000", fun () -> measure ~guard:50_000 ());
       ("guard 60000", fun () -> measure ~guard:60_000 ());
+      ("explicit layout", fun () -> measure ~layout:spread ());
     ]
   in
+  let n = List.length variants in
   List.iteri
     (fun i (name, f) ->
       f ();
@@ -536,11 +538,14 @@ let test_memo_key_sensitivity () =
   List.iteri
     (fun i (name, f) ->
       f ();
-      expect (name ^ " hits again") ~hits:(i + 1) ~misses:7)
+      expect (name ^ " hits again") ~hits:(i + 1) ~misses:(n + 1))
     variants;
-  measure ~faults:Convex_fault.Fault.none ~guard:Sim.default_guard
+  measure ~faults:Convex_fault.Fault.none
+    ~guard:(Sim.guard_for Convex_fault.Fault.none)
     ~fidelity:Fastpath.Tiered ();
-  expect "defaults spelled out hit" ~hits:7 ~misses:7
+  expect "defaults spelled out hit" ~hits:(n + 1) ~misses:(n + 1);
+  measure ~faults:jitter ~guard:(Sim.guard_for jitter) ();
+  expect "the plan's guard spelled out hits" ~hits:(n + 2) ~misses:(n + 1)
 
 (* clear-on-full: the table never holds more than [capacity] entries *)
 let test_memo_bounded () =
@@ -602,13 +607,12 @@ let bits = Int64.bits_of_float
    the whole stats record, every trace event, and the raw access stream.
    Errors must agree too — a plan that stalls one fidelity out must stall
    the other out identically. *)
-let check_equiv ?machine ?layout ?(faults = Convex_fault.Fault.none) ?guard
-    name job =
+let check_equiv ?machine ?(faults = Convex_fault.Fault.none) ?guard name job
+    =
   let go fidelity =
     let log = ref [] in
     let r =
-      Sim.run ?machine ?layout ~faults ?guard ~access_log:log ~trace:true
-        ~fidelity job
+      Sim.run ?machine ~faults ?guard ~access_log:log ~trace:true ~fidelity job
     in
     (r, List.rev !log)
   in
@@ -651,11 +655,9 @@ let test_fidelity_lfk () =
   List.iter
     (fun (k : Lfk.Kernel.t) ->
       let c = Fcc.Compiler.compile ~opt:Fcc.Opt_level.v61 k in
-      let layout = Macs.Hierarchy.layout_of c in
       List.iter
         (fun (pname, spec) ->
-          check_equiv ~layout ~faults:(plan spec)
-            ~guard:Macs_report.Suite.faulted_guard
+          check_equiv ~faults:(plan spec)
             (Printf.sprintf "%s/%s" k.name pname)
             c.Fcc.Compiler.job)
         fidelity_plans)
@@ -670,7 +672,6 @@ let test_fidelity_remainder_strips () =
     (fun id ->
       let k = Lfk.Kernels.find id in
       let c = Fcc.Compiler.compile ~opt:Fcc.Opt_level.v61 k in
-      let layout = Macs.Hierarchy.layout_of c in
       List.iter
         (fun vl ->
           let machine =
@@ -682,8 +683,7 @@ let test_fidelity_remainder_strips () =
           in
           List.iter
             (fun (pname, spec) ->
-              check_equiv ~machine ~layout ~faults:(plan spec)
-                ~guard:Macs_report.Suite.faulted_guard
+              check_equiv ~machine ~faults:(plan spec)
                 (Printf.sprintf "%s/vl=%d/%s" k.name vl pname)
                 c.Fcc.Compiler.job)
             [
@@ -702,7 +702,6 @@ let test_fidelity_window_splits_chime () =
   List.iter
     (fun (lo, hi) ->
       check_equiv ~faults:(plan (Printf.sprintf "degrade-bank=0*4;jitter=8;window=%d-%d" lo hi))
-        ~guard:Macs_report.Suite.faulted_guard
         (Printf.sprintf "fig2/window=%d-%d" lo hi)
         (Job.make ~name:"t" ~body:fig2_chained
            ~segments:[ Job.segment 320 ] ()))
@@ -779,11 +778,11 @@ let prop_sim_deterministic =
       in
       Float.equal (run ()) (run ()))
 
-let fidelity_equiv_on ?faults ?guard body =
+let fidelity_equiv_on ?faults body =
   let j = Job.make ~name:"q" ~body ~segments:[ Job.segment 200 ] () in
   let go fidelity =
     let log = ref [] in
-    let r = Sim.run ?faults ?guard ~access_log:log ~trace:true ~fidelity j in
+    let r = Sim.run ?faults ~access_log:log ~trace:true ~fidelity j in
     (r, !log)
   in
   match (go Fastpath.Cycle, go Fastpath.Tiered) with
@@ -806,7 +805,7 @@ let prop_fidelity_equiv_faulted =
   QCheck.Test.make ~count:60
     ~name:"tiered fidelity is bit-identical under a transient plan"
     Convex_fuzz.Gen.vector_body_arbitrary (fun body ->
-      fidelity_equiv_on ~faults ~guard:Macs_report.Suite.faulted_guard body)
+      fidelity_equiv_on ~faults body)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
